@@ -12,13 +12,16 @@ contract from the outside:
    with a checkpoint per live session; a restarted server resumes
    from the checkpoints and finishes the journal tail with
    byte-identical results.
+4. SIGKILL mid-stream: a tail submitted without waiting, the server
+   killed with ``kill -9`` while it executes, a restarted server
+   finishes it with payloads byte-identical to an uninterrupted run.
 
 Exit code 0 = every check passed.
 """
 
 from __future__ import annotations
 
-import os
+import json
 import signal
 import subprocess
 import sys
@@ -46,6 +49,15 @@ TAIL = [
     ("workload", {"workload": "mutex", "params": {"threads": 3}}),
 ]
 
+#: Submitted without waiting, then the server is SIGKILLed mid-stream.
+KILL_TAIL = [
+    ("workload", {"workload": family, "params": {"threads": threads}})
+    for family, threads in [
+        ("mutex", 16), ("ticket", 8), ("mutex", 32), ("barrier", 8),
+        ("mutex", 24), ("ticket", 12), ("mutex", 8), ("barrier", 4),
+    ]
+]
+
 
 def direct_payload(spec) -> str:
     """What a serverless run of ``spec`` canonicalises to."""
@@ -63,6 +75,8 @@ def direct_payload(spec) -> str:
 
 
 def start_server(sock: Path, state: Path, *, max_requests: int) -> subprocess.Popen:
+    if sock.exists():  # left behind by a killed server
+        sock.unlink()
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
@@ -91,6 +105,44 @@ def stop_server(proc: subprocess.Popen) -> str:
         f"server exited {proc.returncode} on SIGTERM:\n{out}"
     )
     return out
+
+
+def reference_payloads(tmp: Path, name: str, specs) -> list:
+    """Canonical payloads of ``specs`` on a plain, uninterrupted warm
+    session (later submissions see the earlier ones' device state, so
+    per-spec cold runs are not the right baseline)."""
+    from repro.serve.session import SimSession
+
+    ref = SimSession(name, "4link_4gb", root=tmp)
+    for kind, spec in specs:
+        ref.accept(kind, spec)
+    while ref.execute_next() is not None:
+        pass
+    return [
+        schemas.canonical_json(ref.load_result(seq))
+        for seq in range(1, len(specs) + 1)
+    ]
+
+
+def wait_idle(client: ServeClient, session: str) -> dict:
+    """Poll until the session has nothing pending; its snapshot."""
+    deadline = time.monotonic() + 300
+    while True:
+        snap = client.stat(session)["snapshot"]
+        if snap["pending"] == 0:
+            return snap
+        if time.monotonic() > deadline:
+            check(f"{session} resumed tail finished", False, str(snap))
+        time.sleep(0.1)
+
+
+def journal_counts(session_dir: Path) -> dict:
+    """How many records of each type the session journal holds."""
+    counts: dict = {}
+    for line in (session_dir / "journal.jsonl").read_text().splitlines():
+        kind = json.loads(line)["type"]
+        counts[kind] = counts.get(kind, 0) + 1
+    return counts
 
 
 def check(label: str, ok: bool, detail: str = "") -> None:
@@ -154,21 +206,14 @@ def main() -> int:
     for name, _spec in JOBS:
         check(
             f"{name} checkpointed",
-            (state / name / "checkpoint.json").exists()
-            and (state / name / "meta.json").exists(),
+            len(list((state / name).glob("ckpt-*.json"))) == 1
+            and journal_counts(state / name).get("fence", 0) >= 1,
         )
 
     # --- 4. restart: resume from checkpoints, finish the tail ---
-    proc = start_server(sock, state, max_requests=8)
+    proc = start_server(sock, state, max_requests=len(KILL_TAIL))
     with ServeClient(str(sock), timeout=300.0) as client:
-        deadline = time.monotonic() + 300
-        while True:
-            snap = client.stat("c1")["snapshot"]
-            if snap["pending"] == 0:
-                break
-            if time.monotonic() > deadline:
-                check("resumed tail finished", False, str(snap))
-            time.sleep(0.1)
+        snap = wait_idle(client, "c1")
         check("session resumed from checkpoint", snap["resumed"] is True)
         check(
             "journal tail executed after restart",
@@ -179,23 +224,56 @@ def main() -> int:
             m["submission"]: m["payload"]
             for m in client.attach("c1")["history"]
         }
-    # Reference: the same submission sequence on a plain, uninterrupted
-    # warm session (later submissions see the earlier ones' device
-    # state, so per-spec cold runs are not the right baseline).
-    from repro.serve.session import SimSession
-
-    ref = SimSession("smoke-ref", "4link_4gb", root=tmp)
-    ref.accept("workload", JOBS[0][1])
-    for kind, spec in TAIL:
-        ref.accept(kind, spec)
-    while ref.execute_next() is not None:
-        pass
-    for seq in range(1, 2 + len(TAIL)):
+    reference = reference_payloads(tmp, "smoke-ref", [("workload", JOBS[0][1])] + TAIL)
+    for seq, want in enumerate(reference, start=1):
         check(
             f"resumed result {seq} byte-identical to uninterrupted run",
-            schemas.canonical_json(history[seq])
-            == schemas.canonical_json(ref.load_result(seq)),
+            schemas.canonical_json(history[seq]) == want,
         )
+
+    # --- 5. SIGKILL mid-stream: acked work survives, bit-identically ---
+    with ServeClient(str(sock), timeout=300.0) as client:
+        client.create(session="k1")
+        for kind, spec in KILL_TAIL:
+            client.submit("k1", kind, spec)  # acked = journaled
+    # Kill as soon as the first fence lands (--checkpoint-every 2: after
+    # seq 2), so the restart restores a checkpoint *and* replays a tail.
+    deadline = time.monotonic() + 60
+    while "fence" not in journal_counts(state / "k1"):
+        check("first fence landed", time.monotonic() < deadline)
+        time.sleep(0.002)
+    proc.send_signal(signal.SIGKILL)
+    proc.communicate(timeout=60)
+    counts = journal_counts(state / "k1")
+    check(
+        "every acked submission journaled at the kill",
+        counts.get("accept") == len(KILL_TAIL),
+        str(counts),
+    )
+    check(
+        "killed mid-stream",
+        0 < counts.get("done", 0) < len(KILL_TAIL),
+        f"{counts.get('done', 0)}/{len(KILL_TAIL)} finished, "
+        f"{counts.get('fence', 0)} fences",
+    )
+    proc = start_server(sock, state, max_requests=len(KILL_TAIL))
+    with ServeClient(str(sock), timeout=300.0) as client:
+        snap = wait_idle(client, "k1")
+        check(
+            "killed tail finished after restart",
+            snap["resumed"] is True and snap["done"] == len(KILL_TAIL),
+            str(snap),
+        )
+        history = {
+            m["submission"]: m["payload"]
+            for m in client.attach("k1")["history"]
+        }
+    reference = reference_payloads(tmp, "kill-ref", KILL_TAIL)
+    check(
+        "SIGKILLed tail byte-identical to uninterrupted run",
+        [schemas.canonical_json(history[seq]) for seq in sorted(history)]
+        == reference,
+    )
     stop_server(proc)
     print("serve smoke: all checks passed")
     return 0

@@ -946,6 +946,7 @@ def _cmd_fuzz(args, out) -> int:
 def _cmd_serve(args, out) -> int:
     import asyncio
 
+    from repro.errors import ServeError
     from repro.serve.server import ServeConfig, SimServer
 
     server = SimServer(
@@ -962,7 +963,11 @@ def _cmd_serve(args, out) -> int:
     )
     out.write(f"serving on {args.socket} (state in {args.state_dir})\n")
     out.flush()
-    asyncio.run(server.run())
+    try:
+        asyncio.run(server.run())
+    except ServeError as exc:  # e.g. an unreadable session directory
+        sys.stderr.write(f"hmcsim-repro: error {exc.code}: {exc}\n")
+        return 1
     out.write("drained; all live sessions checkpointed\n")
     return 0
 

@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.errors import HMCSimError
 from repro.faults.watchdog import ArmedTag, TagWatchdog
+from repro.fileio import atomic_write
 from repro.hmc.packet import RequestPacket, ResponsePacket
 from repro.hmc.registers import HMC_REG
 from repro.hmc.sim import HMCSim
@@ -370,6 +371,9 @@ def save_checkpoint(
     ``snapshot_state()`` method) to embed its memory image and
     registers as well.
 
+    The file is replaced atomically (temp file + ``os.replace``): a
+    kill mid-write leaves the previous checkpoint at ``path`` intact.
+
     Raises:
         HMCSimError: if any device holds packets in flight (drain first).
     """
@@ -407,7 +411,7 @@ def save_checkpoint(
     }
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(doc))
+    atomic_write(p, json.dumps(doc))
     return p
 
 

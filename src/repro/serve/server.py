@@ -7,10 +7,12 @@ on a Unix-domain socket.  The concurrency model:
 * The **event loop** owns the socket, parses requests, and enforces
   admission control; it never runs simulation cycles.
 * Each session gets a **worker coroutine** draining a *bounded*
-  submission queue; the CPU-bound fenced segments run on a small
-  thread pool (``run_in_executor``), so many sessions interleave while
-  the loop stays responsive.  Sessions execute their own submissions
-  strictly in order — the determinism the resume contract needs.
+  submission queue and **one thread** of its own: the CPU-bound fenced
+  segments run there (``run_in_executor``), so many sessions interleave
+  while the loop stays responsive.  Sessions execute their own
+  submissions strictly in order — the determinism the resume contract
+  needs — and always on the same thread, so a session's allocations
+  stay in one allocator arena instead of spreading over a shared pool.
 * **Backpressure** is the bounded queue: when a session's queue is
   full, ``submit`` waits (the client's request simply doesn't get its
   ack yet) rather than buffering unboundedly.
@@ -44,7 +46,7 @@ from typing import Any, Dict, List, Optional, Set
 
 from repro.errors import ServeError
 from repro.serve import schemas
-from repro.serve.session import SessionState, SimSession
+from repro.serve.session import JOURNAL_NAME, SessionState, SimSession
 
 __all__ = ["ServeConfig", "SimServer"]
 
@@ -62,7 +64,6 @@ class ServeConfig:
         queue_depth: int = 16,
         checkpoint_every: int = 1,
         sweep_jobs: int = 1,
-        executor_threads: int = 4,
         cache_root: Optional[Path] = None,
     ) -> None:
         self.socket_path = Path(socket_path)
@@ -72,15 +73,27 @@ class ServeConfig:
         self.queue_depth = queue_depth
         self.checkpoint_every = checkpoint_every
         self.sweep_jobs = sweep_jobs
-        self.executor_threads = executor_threads
         self.cache_root = cache_root
+
+
+def _session_thread() -> concurrent.futures.ThreadPoolExecutor:
+    return concurrent.futures.ThreadPoolExecutor(
+        max_workers=1, thread_name_prefix="simserve"
+    )
 
 
 class _SessionHandle:
     """Server-side state for one live session."""
 
-    def __init__(self, session: SimSession, queue_depth: int) -> None:
+    def __init__(
+        self,
+        session: SimSession,
+        queue_depth: int,
+        thread: concurrent.futures.ThreadPoolExecutor,
+    ) -> None:
         self.session = session
+        #: The one thread every segment of this session runs on.
+        self.thread = thread
         self.queue: "asyncio.Queue[Optional[int]]" = asyncio.Queue(queue_depth)
         self.worker: Optional[asyncio.Task] = None
         #: Writers attached to this session's stream.
@@ -99,10 +112,6 @@ class SimServer:
         self.handles: Dict[str, _SessionHandle] = {}
         self.draining = False
         self._server: Optional[asyncio.base_events.Server] = None
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=config.executor_threads,
-            thread_name_prefix="simserve",
-        )
         self._session_counter = 0
         self._sweep_executor = None
         self._clients: Set[asyncio.StreamWriter] = set()
@@ -151,15 +160,26 @@ class SimServer:
 
     def _resume_sessions(self) -> None:
         """Reload every session directory; journal tails re-enqueue."""
-        for meta in sorted(self.config.state_dir.glob("*/meta.json")):
+        state_dir = self.config.state_dir
+        for meta in sorted(state_dir.glob("*/meta.json")):
+            if not (meta.parent / JOURNAL_NAME).exists():
+                raise ServeError(
+                    "internal",
+                    f"session directory {meta.parent} holds only a meta.json "
+                    f"(the old rewrite-in-place session format), which this "
+                    f"server no longer reads; move it out of {state_dir}",
+                )
+        for journal in sorted(state_dir.glob(f"*/{JOURNAL_NAME}")):
             session = SimSession.load(
-                meta.parent,
+                journal.parent,
                 checkpoint_every=self.config.checkpoint_every,
                 sweep_runner=self._sweep_runner,
             )
             if session.state == SessionState.CLOSED:
                 continue
-            handle = _SessionHandle(session, self.config.queue_depth)
+            handle = _SessionHandle(
+                session, self.config.queue_depth, _session_thread()
+            )
             self.handles[session.name] = handle
 
     async def serve_forever(self) -> None:
@@ -236,9 +256,10 @@ class SimServer:
                 except asyncio.CancelledError:
                     pass
         # A cancelled worker's in-flight segment keeps running on its
-        # executor thread; wait for those threads *before* fencing so
+        # session thread; wait for those threads *before* fencing so
         # no session is touched from two threads at once.
-        self._executor.shutdown(wait=True)
+        for handle in self.handles.values():
+            handle.thread.shutdown(wait=True)
         for handle in self.handles.values():
             if handle.session.state != SessionState.CLOSED:
                 handle.session.drain()
@@ -281,7 +302,7 @@ class SimServer:
                 return
             try:
                 rec = await loop.run_in_executor(
-                    self._executor, handle.session.execute_next
+                    handle.thread, handle.session.execute_next
                 )
             except asyncio.CancelledError:
                 raise
@@ -475,9 +496,10 @@ class SimServer:
                 "bad_request", f"session {name!r} already exists"
             )
         loop = asyncio.get_running_loop()
+        thread = _session_thread()
         try:
             session = await loop.run_in_executor(
-                self._executor,
+                thread,
                 lambda: SimSession(
                     name,
                     req.config or "4link_4gb",
@@ -488,12 +510,16 @@ class SimServer:
                 ),
             )
         except FileExistsError:
+            thread.shutdown(wait=False)
             raise ServeError(
                 "bad_request",
                 f"session directory for {name!r} already exists in "
                 f"{self.config.state_dir}",
             ) from None
-        handle = _SessionHandle(session, self.config.queue_depth)
+        except BaseException:
+            thread.shutdown(wait=False)
+            raise
+        handle = _SessionHandle(session, self.config.queue_depth, thread)
         self.handles[name] = handle
         self._start_worker(handle)
         return schemas.ok_msg(req.id, session=name, state=session.state.value)
@@ -524,7 +550,7 @@ class SimServer:
         if not req.wait:
             return schemas.ok_msg(req.id, session=session.name, submission=seq)
         await done.wait()
-        rec = next(r for r in session.submissions if r.seq == seq)
+        rec = session.submissions[seq - 1]
         return schemas.ok_msg(
             req.id,
             session=session.name,
@@ -595,7 +621,8 @@ class SimServer:
         if handle.worker is not None:
             await handle.worker
         loop = asyncio.get_running_loop()
-        await loop.run_in_executor(self._executor, session.close)
+        await loop.run_in_executor(handle.thread, session.close)
+        handle.thread.shutdown(wait=False)
         await self._broadcast(
             handle, schemas.telemetry_msg(session.snapshot())
         )

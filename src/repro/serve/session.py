@@ -13,17 +13,18 @@ mid-flight, but a *quiesced* device checkpoints completely
 The session directory is the durable record::
 
     <root>/<name>/
-        meta.json        identity + the submission journal
-        checkpoint.json  the last fence (written every
-                         ``checkpoint_every`` submissions)
+        journal.jsonl      append-only: identity line, then accept,
+                           done/failed and fence records
+        ckpt-<seq>.json    the newest fence's checkpoint (state after
+                           submission <seq>)
         result-<seq>.json  canonical result payload per submission
 
-``meta.json`` is written *before* a submission executes (accepted work
-survives a crash) and again after (status flips to ``done``/``failed``,
-``checkpointed_through`` advances with each fence).  :meth:`load`
-replays everything after ``checkpointed_through`` — including
-submissions already marked done whose effects the checkpoint predates;
-re-execution regenerates byte-identical results.
+Each record is one flushed line, so accepting costs one append.  An
+``accept`` lands *before* execution (accepted work survives a crash);
+a ``fence`` is the only commit point (a checkpoint counts once its
+fence is journaled, and only then is its predecessor unlinked).
+:meth:`load` restores the newest fenced checkpoint that parses and
+re-executes everything after it, done or not, byte-identically.
 
 States move ``CREATED → RUNNING → DRAINING → CLOSED``: RUNNING on the
 first submission, DRAINING once the server stops accepting new work
@@ -52,18 +53,20 @@ import base64
 import enum
 import json
 import os
-import tempfile
 import threading
-from dataclasses import asdict, dataclass, replace as _replace
+from dataclasses import dataclass, replace as _replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import HMCSimError, HMCStatus, ServeError
+from repro.fileio import atomic_write
 from repro.serve.schemas import canonical_json, encode_value
 
 __all__ = ["SessionState", "SubmissionRecord", "SimSession", "build_session_config"]
 
-_META_VERSION = 1
+#: The journal file that marks a directory as a session.
+JOURNAL_NAME = "journal.jsonl"
+_JOURNAL_FORMAT = 1
 
 
 class SessionState(enum.Enum):
@@ -124,19 +127,28 @@ def build_session_config(config_name: str, components: Dict[str, str]):
     return _replace(cfg, **overrides) if overrides else cfg
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Crash-safe file replace (same pattern as the sweep cache)."""
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
+def _journal_line(record: Dict[str, Any]) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _read_journal(path: Path) -> List[Dict[str, Any]]:
+    """Every complete record of a journal.  A kill mid-append can only
+    leave bytes after the last newline: that torn line is truncated away
+    so later appends start on a fresh line."""
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+        complete, newline, torn = path.read_bytes().rpartition(b"\n")
+        if torn:
+            os.truncate(path, len(complete) + len(newline))
+        records = [json.loads(line) for line in complete.split(b"\n") if line]
+    except (OSError, ValueError) as exc:
+        raise ServeError(
+            "internal", f"cannot load session journal {path}: {exc}"
+        ) from None
+    if not records or records[0].get("format") != _JOURNAL_FORMAT:
+        raise ServeError(
+            "internal", f"{path} has no format-{_JOURNAL_FORMAT} session record"
+        )
+    return records
 
 
 class SimSession:
@@ -163,6 +175,7 @@ class SimSession:
         root: Path,
         checkpoint_every: int = 1,
         sweep_runner: Optional[Callable[[List[Any]], List[Any]]] = None,
+        _resume: bool = False,
     ) -> None:
         self.name = name
         self.config_name = config_name
@@ -172,45 +185,44 @@ class SimSession:
         self.sweep_runner = sweep_runner
         self.state = SessionState.CREATED
         self.submissions: List[SubmissionRecord] = []
+        #: ``submissions[_head:]`` are pending: segments run serially in
+        #: seq order, so the executed set is always a prefix.
+        self._head = 0
+        self._failed = 0
         self.checkpointed_through = 0
-        self.resumed = False
-        # accept() runs on the event-loop thread while execute_next()/
-        # drain()/close() run on executor threads; every journal
-        # mutation + meta write pairs under this lock so concurrent
-        # writers cannot persist a snapshot that drops an acked record.
-        self._meta_lock = threading.Lock()
+        self.resumed = _resume
+        # accept() (event-loop thread) and execute_next()/drain()/close()
+        # (executor threads) append under this lock: lines never interleave.
+        self._lock = threading.RLock()
 
         self.config = build_session_config(config_name, self.components)
         from repro.hmc.sim import HMCSim
 
         self.sim = HMCSim(self.config)
+        if _resume:
+            return  # load() replays the journal and opens it
         self.root.mkdir(parents=True, exist_ok=False)
-        self._persist_meta()
+        # The identity line lands whole (atomic create), so a journal
+        # on disk always names its session.
+        ident = dict(type="session", format=_JOURNAL_FORMAT, name=name,
+                     config=config_name, components=self.components)
+        atomic_write(self.root / JOURNAL_NAME, _journal_line(ident))
+        self._journal = open(self.root / JOURNAL_NAME, "a", encoding="utf-8")
 
     # -- durability -----------------------------------------------------------
 
-    @property
-    def meta_path(self) -> Path:
-        return self.root / "meta.json"
-
-    @property
-    def checkpoint_path(self) -> Path:
-        return self.root / "checkpoint.json"
+    def checkpoint_path(self, seq: int) -> Path:
+        return self.root / f"ckpt-{seq}.json"
 
     def result_path(self, seq: int) -> Path:
         return self.root / f"result-{seq}.json"
 
-    def _persist_meta(self) -> None:
-        doc = {
-            "meta_version": _META_VERSION,
-            "name": self.name,
-            "config": self.config_name,
-            "components": self.components,
-            "state": self.state.value,
-            "checkpointed_through": self.checkpointed_through,
-            "submissions": [asdict(rec) for rec in self.submissions],
-        }
-        _atomic_write(self.meta_path, json.dumps(doc, sort_keys=True, indent=1))
+    def _append(self, record: Dict[str, Any]) -> None:
+        """One journal record: a single flushed line (no fsync — the
+        guarantee is surviving a process kill, not a power cut)."""
+        with self._lock:
+            self._journal.write(_journal_line(record))
+            self._journal.flush()
 
     @classmethod
     def load(
@@ -220,59 +232,69 @@ class SimSession:
         checkpoint_every: int = 1,
         sweep_runner: Optional[Callable[[List[Any]], List[Any]]] = None,
     ) -> "SimSession":
-        """Rebuild a session from its directory.
+        """Rebuild a session from its journal.
 
-        Restores the last checkpoint (when one exists) and rewinds the
-        journal so every submission after ``checkpointed_through`` —
-        finished or not — is pending again; the server re-executes them
-        in order, regenerating byte-identical results.
+        Every submission after the restored fence is pending again —
+        finished or not — so the server re-executes them in order,
+        regenerating byte-identical results.
         """
         session_dir = Path(session_dir)
-        try:
-            doc = json.loads((session_dir / "meta.json").read_text())
-        except (OSError, ValueError) as exc:
-            raise ServeError(
-                "internal", f"cannot load session at {session_dir}: {exc}"
-            ) from None
-        self = cls.__new__(cls)
-        self.name = doc["name"]
-        self.config_name = doc["config"]
-        self.components = dict(doc["components"])
+        records = _read_journal(session_dir / JOURNAL_NAME)
+        ident = records[0]
+        self = cls(
+            ident["name"], ident["config"], ident["components"],
+            root=session_dir.parent, checkpoint_every=checkpoint_every,
+            sweep_runner=sweep_runner, _resume=True,
+        )
         self.root = session_dir
-        self.checkpoint_every = max(1, checkpoint_every)
-        self.sweep_runner = sweep_runner
-        self.checkpointed_through = int(doc["checkpointed_through"])
-        self.submissions = [
-            SubmissionRecord(**rec) for rec in doc["submissions"]
-        ]
-        self.resumed = True
-        self._meta_lock = threading.Lock()
+        outcomes: Dict[int, Dict[str, Any]] = {}
+        fences: List[Dict[str, Any]] = []
+        for rec in records[1:]:
+            if rec["type"] == "accept":
+                self.submissions.append(
+                    SubmissionRecord(rec["seq"], rec["kind"], rec["spec"])
+                )
+            elif rec["type"] == "fence":
+                fences.append(rec)
+            else:  # done | failed; a re-execution's record wins
+                outcomes[rec["seq"]] = rec
 
-        self.config = build_session_config(self.config_name, self.components)
+        # Restore the newest fence whose checkpoint parses; a missing
+        # (collected) or torn one falls back to an older fence on a
+        # clean sim, and no fence at all means a fresh sim.
+        from repro.hmc import checkpoint
         from repro.hmc.sim import HMCSim
 
-        self.sim = HMCSim(self.config)
-        if self.checkpoint_path.exists():
-            from repro.hmc.checkpoint import restore_checkpoint
-
-            restore_checkpoint(self.sim, self.checkpoint_path)
-
-        # Everything past the last fence re-executes (deterministically
+        fence = None
+        for cand in reversed(fences):
+            try:
+                checkpoint.restore_checkpoint(
+                    self.sim, self.checkpoint_path(cand["seq"])
+                )
+                fence = cand
+                break
+            except (OSError, ValueError):
+                self.sim = HMCSim(self.config)
+        self.checkpointed_through = self._head = fence["seq"] if fence else 0
+        # Everything past the fence re-executes (deterministically
         # identical), including submissions that finished — or failed,
         # leaving partial side effects — whose effects the checkpoint
         # predates.
-        for rec in self.submissions:
-            if rec.seq > self.checkpointed_through and rec.status != "pending":
-                rec.status = "pending"
-                rec.error = None
-        closed = doc["state"] == SessionState.CLOSED.value
-        if closed and not self.pending():
+        for sub in self.submissions[: self._head]:
+            out = outcomes.get(sub.seq, {"type": "failed"})
+            sub.status, sub.error = out["type"], out.get("error")
+            if sub.status == "failed":
+                self._failed += 1
+        if fence and fence["closed"] and not self.pending():
             self.state = SessionState.CLOSED
-        elif any(rec.status != "pending" for rec in self.submissions) or self.pending():
+        elif self.submissions:
             self.state = SessionState.RUNNING
-        else:
-            self.state = SessionState.CREATED
-        self._persist_meta()
+        # Only the restored fence's checkpoint is needed; newer ones are
+        # torn or were never committed, older ones are superseded.
+        for stale in session_dir.glob("ckpt-*.json"):
+            if stale != self.checkpoint_path(self.checkpointed_through):
+                stale.unlink()
+        self._journal = open(self.root / JOURNAL_NAME, "a", encoding="utf-8")
         return self
 
     # -- the journal ----------------------------------------------------------
@@ -290,28 +312,28 @@ class SimSession:
                 f"accepting submissions",
             )
         self._validate_spec(kind, spec)
-        with self._meta_lock:
+        with self._lock:
             seq = len(self.submissions) + 1
-            self.submissions.append(
-                SubmissionRecord(seq=seq, kind=kind, spec=spec)
-            )
-            self._persist_meta()
+            self._append({"type": "accept", "seq": seq, "kind": kind, "spec": spec})
+            self.submissions.append(SubmissionRecord(seq=seq, kind=kind, spec=spec))
         return seq
 
     def pending(self) -> List[SubmissionRecord]:
-        return [rec for rec in self.submissions if rec.status == "pending"]
+        return self.submissions[self._head :]
 
     def _validate_spec(self, kind: str, spec: Dict[str, Any]) -> None:
         from repro.workloads.registry import WORKLOADS
 
+        name = spec.get("workload")
+        if kind in ("workload", "sweep") and not (
+            isinstance(name, str) and WORKLOADS.has(name)
+        ):
+            raise ServeError(
+                "bad_request",
+                f"unknown workload {name!r} "
+                f"(have: {', '.join(WORKLOADS.keys())})",
+            )
         if kind == "workload":
-            name = spec.get("workload")
-            if not isinstance(name, str) or not WORKLOADS.has(name):
-                raise ServeError(
-                    "bad_request",
-                    f"unknown workload {name!r} "
-                    f"(have: {', '.join(WORKLOADS.keys())})",
-                )
             if not isinstance(spec.get("params", {}), dict):
                 raise ServeError("bad_request", "'params' must be an object")
         elif kind == "raw":
@@ -335,13 +357,6 @@ class SimSession:
                         "bad_request", f"request {i}: 'addr' must be an integer"
                     )
         elif kind == "sweep":
-            name = spec.get("workload")
-            if not isinstance(name, str) or not WORKLOADS.has(name):
-                raise ServeError(
-                    "bad_request",
-                    f"unknown workload {name!r} "
-                    f"(have: {', '.join(WORKLOADS.keys())})",
-                )
             frontend = WORKLOADS.get(name)
             if not hasattr(frontend, "task_spec"):
                 raise ServeError(
@@ -371,10 +386,9 @@ class SimSession:
         *submission*, not the session: the sim is drained and fenced so
         later submissions start from a quiesced, checkpointed state.
         """
-        queue = self.pending()
-        if not queue:
+        if self._head == len(self.submissions):
             return None
-        rec = queue[0]
+        rec = self.submissions[self._head]
         if self.state == SessionState.CREATED:
             self.state = SessionState.RUNNING
         try:
@@ -392,57 +406,48 @@ class SimSession:
             # wedge the session on a permanently-pending record.
             status, error = "failed", f"{type(exc).__name__}: {exc}"
             payload = None
-        # The fence: quiesce, persist the result, advance the journal,
+        # The fence: quiesce, persist the result, journal the outcome,
         # checkpoint.  Order matters — the result file must exist
-        # before meta marks the submission done.
+        # before the journal marks the submission done.
         self.sim.drain()
         self._reap_orphans()
         if payload is not None:
-            _atomic_write(self.result_path(rec.seq), canonical_json(payload))
-        with self._meta_lock:
-            rec.status = status
-            rec.error = error
-            fence = (
-                rec.seq % self.checkpoint_every == 0
-                or not self.pending()
-            )
-            if fence:
-                self._save_fence(rec.seq)
-            self._persist_meta()
+            atomic_write(self.result_path(rec.seq), canonical_json(payload))
+        self._append({"type": status, "seq": rec.seq, "error": error})
+        self._advance(status, error)
+        if (
+            rec.seq % self.checkpoint_every == 0
+            or self._head == len(self.submissions)
+        ):
+            self._fence(rec.seq)
         return rec
 
     def fail_next(self, error: str) -> Optional[SubmissionRecord]:
         """Mark the oldest pending submission failed without running it.
 
         The server's fault barrier: if :meth:`execute_next` itself
-        raises (the fence code — drain, checkpoint, persist — failed),
+        raises (the fence code — drain, checkpoint, journal — failed),
         the head record must not stay pending or a restarted worker
         would re-pick the same poisoned submission forever.
         """
-        queue = self.pending()
-        if not queue:
+        if self._head == len(self.submissions):
             return None
-        rec = queue[0]
-        with self._meta_lock:
-            rec.status = "failed"
-            rec.error = error
-            try:
-                self._persist_meta()
-            except OSError:
-                pass  # in-memory state still advances past the poison
+        try:
+            self._append(
+                {"type": "failed", "seq": self._head + 1, "error": error}
+            )
+        except OSError:
+            pass  # in-memory state still advances past the poison
+        return self._advance("failed", error)
+
+    def _advance(self, status: str, error: Optional[str]) -> SubmissionRecord:
+        """Settle the head submission and move the head past it."""
+        rec = self.submissions[self._head]
+        rec.status, rec.error = status, error
+        self._head += 1
+        if status == "failed":
+            self._failed += 1
         return rec
-
-    def _executed_through(self) -> int:
-        """The highest seq whose effects the sim state contains.
-
-        Segments run serially in seq order, so the executed set is a
-        prefix; never below ``checkpointed_through`` (a resumed session
-        may not have re-executed anything yet).
-        """
-        return max(
-            [rec.seq for rec in self.submissions if rec.status != "pending"],
-            default=self.checkpointed_through,
-        )
 
     def _reap_orphans(self) -> None:
         """Receive-and-discard responses nobody claimed.
@@ -457,18 +462,25 @@ class SimSession:
             while self.sim.recv_batch(link=link):
                 pass
 
-    def _save_fence(self, through_seq: int) -> None:
-        from repro.hmc.checkpoint import save_checkpoint
+    def _fence(self, through_seq: int, *, closed: bool = False) -> None:
+        """Checkpoint, then commit it with a ``fence`` record; only then
+        unlink the previous checkpoint (``load`` ignores an uncommitted
+        one)."""
+        from repro.hmc import checkpoint
 
-        save_checkpoint(self.sim, self.checkpoint_path)
+        previous = self.checkpointed_through
+        checkpoint.save_checkpoint(self.sim, self.checkpoint_path(through_seq))
+        self._append({"type": "fence", "seq": through_seq, "closed": closed})
         self.checkpointed_through = through_seq
+        if previous != through_seq:
+            self.checkpoint_path(previous).unlink(missing_ok=True)
 
     def load_result(self, seq: int) -> Optional[Any]:
         """The stored canonical payload for submission ``seq`` (or None)."""
-        path = self.result_path(seq)
-        if not path.exists():
+        try:
+            return json.loads(self.result_path(seq).read_text())
+        except FileNotFoundError:
             return None
-        return json.loads(path.read_text())
 
     # -- submission kinds -----------------------------------------------------
 
@@ -515,6 +527,16 @@ class SimSession:
         responses: List[Optional[Dict[str, Any]]] = [None] * len(requests)
         cycles = 0
 
+        def tick(waiting_for: str) -> None:
+            nonlocal cycles
+            sim.clock()
+            collect()
+            cycles += 1
+            if cycles > max_cycles:
+                raise ServeError(
+                    "internal", f"raw stream exceeded max_cycles ({waiting_for})"
+                )
+
         def collect() -> None:
             for link in range(num_links):
                 for rsp in sim.recv_batch(link=link):
@@ -533,26 +555,11 @@ class SimSession:
             data = bytes.fromhex(rq.get("data", "") or "")
             link = int(rq.get("link", idx % num_links)) % num_links
             while not free_tags:
-                sim.clock()
-                collect()
-                cycles += 1
-                if cycles > max_cycles:
-                    raise ServeError(
-                        "internal", "raw stream exceeded max_cycles (tags)"
-                    )
+                tick("tags")
             tag = free_tags.pop()
             pkt = sim.build_memrequest(cmd, rq["addr"], tag, data=data)
-            while True:
-                status = sim.send(pkt, link=link)
-                if status is not HMCStatus.STALL:
-                    break
-                sim.clock()
-                collect()
-                cycles += 1
-                if cycles > max_cycles:
-                    raise ServeError(
-                        "internal", "raw stream exceeded max_cycles (stall)"
-                    )
+            while sim.send(pkt, link=link) is HMCStatus.STALL:
+                tick("stall")
             if sim._expects_response(pkt):
                 tag_to_index[tag] = idx
             else:
@@ -613,28 +620,21 @@ class SimSession:
         self.sim.drain()
         # The checkpoint captures the sim *after* every executed
         # submission (segments are serial and each ends quiesced), so
-        # the fence label must advance to the last executed seq — a
-        # stale label would make resume replay work the snapshot
-        # already contains, on top of itself.
-        with self._meta_lock:
-            self._save_fence(self._executed_through())
-            self._persist_meta()
+        # the fence label is the head — a stale label would make
+        # resume replay work the snapshot already contains.
+        self._fence(self._head)
 
     def close(self) -> None:
         """Final fence; the session directory remains readable."""
         if self.state == SessionState.CLOSED:
             return
         self.sim.drain()
-        with self._meta_lock:
-            self._save_fence(self._executed_through())
-            self.state = SessionState.CLOSED
-            self._persist_meta()
+        self._fence(self._head, closed=True)
+        self.state = SessionState.CLOSED
+        self._journal.close()
 
     def snapshot(self) -> Dict[str, Any]:
-        """Telemetry view of the session."""
-        by_status: Dict[str, int] = {"pending": 0, "done": 0, "failed": 0}
-        for rec in self.submissions:
-            by_status[rec.status] = by_status.get(rec.status, 0) + 1
+        """Telemetry view of the session (O(1) in the journal length)."""
         return {
             "session": self.name,
             "state": self.state.value,
@@ -642,9 +642,9 @@ class SimSession:
             "components": dict(self.components),
             "cycle": self.sim.cycle,
             "submissions": len(self.submissions),
-            "pending": by_status["pending"],
-            "done": by_status["done"],
-            "failed": by_status["failed"],
+            "pending": len(self.submissions) - self._head,
+            "done": self._head - self._failed,
+            "failed": self._failed,
             "checkpointed_through": self.checkpointed_through,
             "resumed": self.resumed,
         }

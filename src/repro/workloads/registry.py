@@ -15,6 +15,7 @@ cycle-free.
 from __future__ import annotations
 
 import hashlib
+import threading
 from typing import Callable, Dict, List, Tuple, Type
 
 from repro.errors import WorkloadError
@@ -35,13 +36,24 @@ class WorkloadRegistry:
         self._frontends: Dict[str, Type[WorkloadFrontend]] = {}
         self._loader = loader
         self._loaded = loader is None
+        self._loading = False
+        # Threads that look up while another runs the loader wait here
+        # for the whole catalog (the serve layer looks up from the
+        # event-loop thread and from session threads at once).
+        self._load_lock = threading.RLock()
 
     def _ensure_loaded(self) -> None:
-        if not self._loaded:
-            # Set the flag first: the catalog import calls register()
-            # on this very registry.
-            self._loaded = True
-            self._loader()
+        if self._loaded:
+            return
+        with self._load_lock:
+            # _loading: the catalog import re-enters on this thread.
+            if self._loaded or self._loading:
+                return
+            self._loading = True
+            try:
+                self._loader()
+            finally:
+                self._loaded = True
 
     def register(
         self, frontend: Type[WorkloadFrontend], *, replace: bool = False

@@ -1,6 +1,7 @@
 """Checkpoint/restore tests."""
 
 import json
+import os
 
 import pytest
 
@@ -387,6 +388,43 @@ class TestGuards:
         doc = json.loads(p.read_text())  # must parse as plain JSON
         assert doc["version"] == CHECKPOINT_VERSION
         assert doc["pages"]
+
+    def test_kill_mid_write_keeps_previous_checkpoint(
+        self, cfg4, tmp_path, monkeypatch
+    ):
+        # A BaseException (a kill, a KeyboardInterrupt) halfway through
+        # writing the new file must leave the old checkpoint restorable
+        # and no temp file behind.
+        sim = HMCSim(cfg4)
+        sim.mem_write(0x40, b"old" + bytes(5))
+        p = save_checkpoint(sim, tmp_path / "cp.json")
+        sim.mem_write(0x40, b"new" + bytes(5))
+
+        class Killed(BaseException):
+            pass
+
+        real_fdopen = os.fdopen
+
+        def torn_fdopen(*args, **kwargs):
+            fh = real_fdopen(*args, **kwargs)
+            real_write = fh.write
+
+            def write(text):
+                real_write(text[: len(text) // 2])
+                raise Killed()
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(os, "fdopen", torn_fdopen)
+        with pytest.raises(Killed):
+            save_checkpoint(sim, p)
+        monkeypatch.undo()
+
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cp.json"]
+        sim2 = HMCSim(cfg4)
+        restore_checkpoint(sim2, p)
+        assert sim2.mem_read(0x40, 8) == b"old" + bytes(5)
 
 
 class TestBarrierKernel:

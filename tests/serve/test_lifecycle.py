@@ -14,7 +14,7 @@ import pytest
 
 from repro.serve import schemas
 from repro.serve.client import ServeClient
-from repro.serve.session import SimSession
+from repro.serve.session import JOURNAL_NAME, SimSession
 
 DATAPATHS = [
     pytest.param({}, id="scalar"),
@@ -116,8 +116,9 @@ def test_server_restart_resumes_pending_work(tmp_path, components, make_server):
     server.stop()
 
     state = server.config.state_dir
-    meta = json.loads((state / "lifecycle" / "meta.json").read_text())
-    assert len(meta["submissions"]) == 4  # all journaled durably
+    lines = (state / "lifecycle" / JOURNAL_NAME).read_text().splitlines()
+    accepted = [rec for rec in map(json.loads, lines) if rec.get("type") == "accept"]
+    assert len(accepted) == 4  # all journaled durably
 
     revived = make_server(checkpoint_every=2)
     with ServeClient(str(revived.config.socket_path), timeout=300.0) as client:

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.errors import ServeError
 from repro.serve import schemas
 from repro.serve.client import ServeClient
+from repro.serve.server import ServeConfig, SimServer
+from repro.serve.session import JOURNAL_NAME
 
 
 def _mutex(threads=2):
@@ -284,9 +288,12 @@ class TestDrain:
             client.submit(name, "workload", _mutex(), wait=True)
         server.stop()
         assert not server.config.socket_path.exists()
-        meta = json.loads((state / name / "meta.json").read_text())
-        assert meta["checkpointed_through"] == 1
-        assert (state / name / "checkpoint.json").exists()
+        lines = (state / name / JOURNAL_NAME).read_text().splitlines()
+        fences = [
+            rec for rec in map(json.loads, lines) if rec.get("type") == "fence"
+        ]
+        assert fences[-1]["seq"] == 1
+        assert (state / name / "ckpt-1.json").exists()
 
     def test_auto_names_skip_resumed_sessions(self, make_server):
         # The counter restarts at 0 with the server; auto-naming must
@@ -315,3 +322,22 @@ class TestDrain:
             # The revived warm session still accepts work.
             reply = client.submit(name, "workload", _mutex(), wait=True)
             assert reply["status"] == "done"
+
+    def test_old_meta_json_directory_stops_start(self, serve_dirs, capsys):
+        # The rewrite-in-place meta.json format has no reader, so
+        # a directory holding only meta.json must stop the start loudly,
+        # naming the directory, instead of being silently skipped.
+        sock, state, _cache = serve_dirs
+        old = state / "legacy"
+        old.mkdir(parents=True)
+        (old / "meta.json").write_text('{"meta_version": 1}')
+        server = SimServer(ServeConfig(socket_path=sock, state_dir=state))
+        with pytest.raises(ServeError) as exc:
+            asyncio.run(server.start())
+        assert str(old) in str(exc.value)
+        assert "meta.json" in str(exc.value)
+
+        code = cli_main(["serve", "--socket", str(sock), "--state-dir", str(state)])
+        assert code == 1
+        assert f"{old}" in capsys.readouterr().err
+        assert not sock.exists()

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro.errors import ServeError
-from repro.serve.session import SessionState, SimSession, build_session_config
+from repro.serve.session import (
+    JOURNAL_NAME,
+    SessionState,
+    SimSession,
+    build_session_config,
+)
 
 
 def _mutex(threads=2):
@@ -16,6 +23,12 @@ def _mutex(threads=2):
 
 def make_session(root, name="s1", **kwargs):
     return SimSession(name, "4link_4gb", root=root, **kwargs)
+
+
+def journal(session):
+    """The session's journal records after the identity line."""
+    lines = (session.root / JOURNAL_NAME).read_text().splitlines()
+    return [json.loads(line) for line in lines[1:]]
 
 
 class TestConfig:
@@ -48,9 +61,11 @@ class TestJournal:
         session = make_session(tmp_path)
         seq = session.accept("workload", _mutex())
         assert seq == 1
-        doc = json.loads(session.meta_path.read_text())
-        assert doc["submissions"][0]["status"] == "pending"
-        assert doc["checkpointed_through"] == 0
+        # Journaled durably, not yet executed, no fence yet.
+        assert journal(session) == [
+            {"type": "accept", "seq": 1, "kind": "workload", "spec": _mutex()}
+        ]
+        assert session.checkpointed_through == 0
 
     def test_execute_fences_and_stores_result(self, tmp_path):
         session = make_session(tmp_path)
@@ -58,7 +73,8 @@ class TestJournal:
         rec = session.execute_next()
         assert rec.status == "done"
         assert session.checkpointed_through == 1
-        assert session.checkpoint_path.exists()
+        assert session.checkpoint_path(1).exists()
+        assert [r["type"] for r in journal(session)] == ["accept", "done", "fence"]
         payload = session.load_result(1)
         assert payload["workload"] == "mutex"
         assert payload["warm"] is True
@@ -111,8 +127,9 @@ class TestJournal:
         rec = session.fail_next("RuntimeError: boom")
         assert rec.status == "failed"
         assert session.pending() == []
-        doc = json.loads(session.meta_path.read_text())
-        assert doc["submissions"][0]["status"] == "failed"
+        assert journal(session)[-1] == {
+            "type": "failed", "seq": 1, "error": "RuntimeError: boom"
+        }
 
     def test_accept_refused_while_draining(self, tmp_path):
         session = make_session(tmp_path)
@@ -120,6 +137,118 @@ class TestJournal:
         with pytest.raises(ServeError) as exc:
             session.accept("workload", _mutex())
         assert exc.value.code == "draining"
+
+
+class TestConstantCost:
+    """Bookkeeping must not grow with the journal (counted, not timed)."""
+
+    def _one_accept(self, session, monkeypatch):
+        """Bytes each file grows by, and the journal writes, of one accept."""
+        def sizes():
+            return {f.name: f.stat().st_size for f in session.root.iterdir()}
+
+        before = sizes()
+        writes = []
+        real = session._journal
+
+        class Counting:
+            def write(self, text):
+                writes.append(len(text))
+                return real.write(text)
+
+            def flush(self):
+                real.flush()
+
+        def no_rewrite(path, text):
+            raise AssertionError(f"accept rewrote {path}")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(session, "_journal", Counting())
+            mp.setattr("repro.serve.session.atomic_write", no_rewrite)
+            session.accept("workload", _mutex())
+        after = sizes()
+        grown = {
+            n: after[n] - before.get(n, 0)
+            for n in after
+            if after[n] != before.get(n)
+        }
+        return writes, grown
+
+    def test_accept_writes_only_its_own_line(self, tmp_path, monkeypatch):
+        results = {}
+        for records in (10, 10_000):
+            session = make_session(tmp_path, name=f"s{records}")
+            for _ in range(records):
+                session.accept("workload", _mutex())
+            writes, grown = self._one_accept(session, monkeypatch)
+            line = (session.root / JOURNAL_NAME).read_bytes().splitlines(True)[-1]
+            assert json.loads(line)["seq"] == records + 1
+            assert writes == [len(line)]
+            assert grown == {JOURNAL_NAME: len(line)}
+            results[records] = len(line)
+            snap = session.snapshot()
+            assert (snap["pending"], snap["done"]) == (records + 1, 0)
+        # Same record, so the same bytes but for the seq's extra digits.
+        assert results[10_000] - results[10] == len("10001") - len("11")
+
+    def test_counters_follow_execution_and_resume(self, tmp_path):
+        session = make_session(tmp_path, checkpoint_every=10)
+        session.accept("workload", _mutex())
+        session.accept(
+            "workload", {"workload": "mutex", "params": {"threads": 2, "max_cycles": 1}}
+        )
+        session.accept("workload", _mutex())
+        session.execute_next()
+        session.execute_next()
+        snap = session.snapshot()
+        assert (snap["pending"], snap["done"], snap["failed"]) == (1, 1, 1)
+        session.execute_next()  # last pending: fences at 3
+        snap = SimSession.load(session.root).snapshot()
+        assert (snap["pending"], snap["done"], snap["failed"]) == (0, 2, 1)
+
+
+class TestConcurrency:
+    def test_concurrent_accepts_keep_the_journal_whole(self, tmp_path):
+        # accept() runs on the event-loop thread while segments append
+        # done/fence records from the session thread.  With a tiny
+        # switch interval and more writers than cores, every record
+        # must still land as one whole line and every seq exactly once.
+        session = make_session(tmp_path, checkpoint_every=1000)
+        writers, per_writer = 4, 20
+        total = writers * per_writer
+        writing = threading.Barrier(writers + 1)
+
+        def submit():
+            writing.wait(timeout=30)
+            for _ in range(per_writer):
+                session.accept("workload", _mutex())
+
+        def run():
+            writing.wait(timeout=30)
+            while any(t.is_alive() for t in threads[:-1]) or session.pending():
+                session.execute_next()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submit) for _ in range(writers)]
+            threads.append(threading.Thread(target=run))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+
+        records = journal(session)  # every line parses
+        accepted = [r["seq"] for r in records if r["type"] == "accept"]
+        finished = [r["seq"] for r in records if r["type"] == "done"]
+        assert accepted == list(range(1, total + 1))
+        assert finished == list(range(1, total + 1))
+        assert [r.seq for r in session.submissions] == accepted
+        snap = session.snapshot()
+        assert (snap["pending"], snap["done"], snap["failed"]) == (0, total, 0)
 
 
 class TestValidation:

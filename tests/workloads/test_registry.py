@@ -8,6 +8,8 @@ point tracks the registered implementation via ``fingerprint``.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -119,3 +121,34 @@ def test_fingerprint_tracks_class_and_version():
 def test_global_fingerprints_are_distinct():
     fps = [WORKLOADS.fingerprint(name) for name in WORKLOADS.keys()]
     assert len(set(fps)) == len(fps)
+
+
+def test_lookup_during_lazy_load_waits_for_the_catalog():
+    # One thread runs the loader while another looks up: the second
+    # must see the whole catalog, not the empty registry.
+    started, release = threading.Event(), threading.Event()
+
+    class A(WorkloadFrontend):
+        name = "slow"
+
+        def build(self, sim, params):
+            return []
+
+    def loader():
+        started.set()
+        release.wait(timeout=30)
+        reg.register(A)
+        assert reg.has("slow")  # the catalog import may look up too
+
+    reg = WorkloadRegistry(loader)
+    first = threading.Thread(target=reg.has, args=("slow",))
+    first.start()
+    assert started.wait(timeout=30)
+    seen = []
+    second = threading.Thread(target=lambda: seen.append(reg.has("slow")))
+    second.start()
+    release.set()
+    first.join(timeout=30)
+    second.join(timeout=30)
+    assert not first.is_alive() and not second.is_alive()
+    assert seen == [True]
