@@ -15,19 +15,20 @@ import sys
 
 from repro import HMCConfig
 from repro.analysis.tables import format_table
-from repro.host.kernels.mutex_kernel import run_mutex_workload
+from repro.workloads.registry import WORKLOADS
 
 
 def main():
     max_threads = int(sys.argv[1]) if len(sys.argv) > 1 else 100
     counts = [n for n in (2, 5, 10, 25, 50, 75, 99, 100) if n <= max_threads]
     configs = [HMCConfig.cfg_4link_4gb(), HMCConfig.cfg_8link_8gb()]
+    mutex = WORKLOADS.get("mutex")
 
     rows = []
     for n in counts:
         cells = [n]
         for cfg in configs:
-            s = run_mutex_workload(cfg, n)
+            s = mutex.run(cfg, {"threads": n})
             cells += [s.min_cycle, s.max_cycle, f"{s.avg_cycle:.2f}"]
         rows.append(cells)
 

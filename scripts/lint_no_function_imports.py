@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Structural lints for the simulator core package.
 
-Five checks, all run by ``main`` (and by
+Six checks, all run by ``main`` (and by
 ``tests/hmc/test_lint_clean.py`` in tier-1 CI):
 
 1. **No function-level imports** in ``src/repro/hmc/``.  Imports inside
@@ -46,6 +46,13 @@ Five checks, all run by ``main`` (and by
    ``repro.workloads.registry.WORKLOADS``.  The banned-name list is
    derived from the live registry, so a newly registered frontend is
    automatically covered.
+
+6. **One workload driver** in ``src/repro/host/kernels/``.  Kernel
+   modules hold thread programs and stats dataclasses; the generic
+   ``WorkloadFrontend.run`` builds the simulation context and the
+   engine for every single-engine kernel.  No kernel module may
+   construct ``HMCSim``, ``HostEngine`` or ``WindowedEngine`` — except
+   the multi-phase BFS and SSSP kernels, which run one engine per wave.
 
 Usage:  python scripts/lint_no_function_imports.py
 Exit status 0 when clean, 1 with one ``path:line`` diagnostic per
@@ -336,6 +343,40 @@ def run_workload_containment(
     return out
 
 
+#: Kernel modules, and the multi-phase ones that drive their own waves.
+KERNELS_DIR = SRC_ROOT / "host" / "kernels"
+KERNEL_DRIVER_ALLOWED = ("bfs.py", "sssp.py")
+DRIVER_CLASSES = frozenset({"HMCSim", "HostEngine", "WindowedEngine"})
+
+
+def run_kernel_driver_check(
+    root: Path = KERNELS_DIR, allowed: tuple = KERNEL_DRIVER_ALLOWED
+) -> List[str]:
+    """Diagnostics for kernel modules constructing a sim or an engine.
+
+    Catches bare (``HostEngine(sim)``) and dotted
+    (``engine.HostEngine(sim)``) constructor calls alike.
+    """
+    out: List[str] = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name in allowed:
+            continue
+        shown = path.relative_to(REPO) if path.is_relative_to(REPO) else path
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if name in DRIVER_CLASSES:
+                out.append(
+                    f"{shown}:{node.lineno}: kernel module constructs "
+                    f"{name} — kernels provide programs and stats; "
+                    f"WorkloadFrontend.run builds the sim and the engine"
+                )
+    return out
+
+
 def main() -> int:
     diags = (
         run()
@@ -343,6 +384,7 @@ def main() -> int:
         + run_oracle_purity()
         + run_vector_containment()
         + run_workload_containment()
+        + run_kernel_driver_check()
     )
     for diag in diags:
         print(diag)

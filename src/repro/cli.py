@@ -55,6 +55,17 @@ from repro.workloads.registry import WORKLOADS
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(spec: str) -> int:
+    """Parse a count that must be at least 1 (thread counts, sampling)."""
+    try:
+        value = int(spec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad count {spec!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"count must be >= 1 (got {value})")
+    return value
+
+
 def _parse_threads(spec: str) -> List[int]:
     """Parse a thread-axis spec: "N", "lo:hi", or "lo:hi:step"."""
     parts = spec.split(":")
@@ -63,6 +74,8 @@ def _parse_threads(spec: str) -> List[int]:
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad thread spec {spec!r}") from None
     if len(nums) == 1:
+        if nums[0] < 1:
+            raise argparse.ArgumentTypeError(f"bad thread count {spec!r}")
         return nums
     if len(nums) == 2:
         lo, hi = nums
@@ -250,12 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kernel = sub.add_parser("kernel", help="run one workload kernel")
     p_kernel.add_argument("name", choices=_cli_kernel_names())
-    p_kernel.add_argument("--threads", type=int, default=16)
+    p_kernel.add_argument("--threads", type=_positive_int, default=16)
     p_kernel.add_argument(
         "--config", choices=["4link", "8link"], default="4link"
     )
     p_kernel.add_argument(
-        "--oracle-sample", type=int, default=None, metavar="N",
+        "--oracle-sample", type=_positive_int, default=None, metavar="N",
         dest="oracle_sample",
         help="shadow-execute roughly 1-in-N requests against the "
         "functional reference model and fail on any divergence "
@@ -274,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a recordable workload, capturing its request stream",
     )
     p_record.add_argument("workload", choices=_recordable_names())
-    p_record.add_argument("--threads", type=int, default=16)
+    p_record.add_argument("--threads", type=_positive_int, default=16)
     p_record.add_argument(
         "--config", choices=["4link", "8link"], default="4link"
     )
@@ -568,6 +581,11 @@ def _cmd_kernel(args, out) -> int:
             f"kernel (got kernel {args.name!r})"
         )
     sample = getattr(args, "oracle_sample", None)
+    if plan is not None and sample is not None:
+        raise SystemExit(
+            "hmcsim-repro: error: --fault and --oracle-sample are "
+            "incompatible (the functional oracle has no fault model)"
+        )
     if sample is not None and "oracle_sample" not in frontend.default_params():
         raise SystemExit(
             f"hmcsim-repro: error: --oracle-sample is not supported by "

@@ -1,11 +1,15 @@
 """Workload kernels.
 
-These modules hold the kernel *implementations*; the uniform way to
-run one is by name through the workload registry
-(:data:`repro.workloads.registry.WORKLOADS` — see
-:mod:`repro.workloads`), which wraps each kernel in a
-:class:`~repro.workloads.base.WorkloadFrontend` adapter.  The CLI,
-sweeps, and trace recorder all resolve kernels that way.
+These modules hold each kernel's thread programs and stats dataclass;
+the one way to run a kernel is by name through the workload registry
+(``WORKLOADS.get(name).run(config, params)`` — see
+:mod:`repro.workloads`), whose frontends own the construction (device
+preloads, thread fan-out, the stats object and its correctness check)
+and drive every single-engine kernel through one generic driver.  Only
+the multi-phase kernels (:mod:`~repro.host.kernels.bfs`,
+:mod:`~repro.host.kernels.sssp`) build their own engines, one per wave;
+a structural lint (``scripts/lint_no_function_imports.py``) keeps it
+that way.
 
 * :mod:`repro.host.kernels.mutex_kernel` — the paper's Algorithm 1
   (the §V evaluation workload).
@@ -29,6 +33,6 @@ sweeps, and trace recorder all resolve kernels that way.
   CAS-offloaded relaxations versus a host-side baseline.
 """
 
-from repro.host.kernels.mutex_kernel import MutexRunStats, mutex_program, run_mutex_workload
+from repro.host.kernels.mutex_kernel import MutexRunStats, mutex_program
 
-__all__ = ["mutex_program", "run_mutex_workload", "MutexRunStats"]
+__all__ = ["mutex_program", "MutexRunStats"]

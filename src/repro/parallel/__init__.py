@@ -18,8 +18,8 @@ on-disk result cache underneath:
 
 The engine is kernel-agnostic: any future sweep (block-size,
 latency-load, window-scaling) parallelizes by constructing its own
-specs — see ``mutex_task_spec`` in
-:mod:`repro.host.kernels.mutex_kernel` for the pattern.
+specs — see the ``mutex`` frontend's ``task_spec`` in
+:mod:`repro.workloads.adapters` for the pattern.
 """
 
 from repro.parallel.cache import CacheStats, SweepCache, default_cache_root

@@ -492,10 +492,6 @@ class SimSession:
         params = frontend.resolve_params(spec.get("params") or {})
         if frontend.accepts_sim:
             # Warm path: device state accumulates across submissions.
-            # prepare() is called here because the kernel adapters'
-            # run() delegates assume a caller-provided sim already has
-            # its CMC ops loaded (prepare is idempotent by contract).
-            frontend.prepare(self.sim, params)
             stats = frontend.run(self.config, params, sim=self.sim)
         else:
             # Frontends that must build their own context (multi-phase

@@ -1,20 +1,16 @@
-"""Registry adapters for the nine hand-written host kernels.
+"""Registry frontends for the nine hand-written host kernels.
 
-Each adapter puts one legacy kernel behind the
+Each frontend puts one kernel behind the
 :class:`~repro.workloads.base.WorkloadFrontend` seam.  The kernel
-implementation modules under :mod:`repro.host.kernels` are untouched
-(tests and the paper sweeps import them directly); :meth:`run`
-delegates to the legacy entrypoint, so registry-resolved runs are
-bit-identical to direct calls *by construction* — and pinned against
-drift by the digest-parity suite in ``tests/workloads/``.
-
-:meth:`build` / :meth:`prepare` are honest re-statements of each
-kernel's construction (the same program functions, preloads, and
-thread fan-out the legacy runner uses), which is what lets the generic
-engine path — and therefore trace recording and replay — drive the
-single-engine kernels.  The two multi-phase kernels (BFS, SSSP) run
-several engine waves per call; they stay runnable through the registry
-but are not engine-drivable as a single ``build()``.
+modules under :mod:`repro.host.kernels` hold the thread programs and
+stats dataclasses; the frontends here own the construction — preloads
+in :meth:`prepare`, thread fan-out in :meth:`build`, the stats object
+and its correctness check in :meth:`stats` — and the seam's generic
+:meth:`~repro.workloads.base.WorkloadFrontend.run` drives all seven
+single-engine kernels.  Trace recording and replay drive the same
+``prepare``/``build`` pair.  The two multi-phase kernels (BFS, SSSP)
+run one engine wave per frontier level or relaxation round, so they
+keep their own runners and override :meth:`run`.
 
 This module *defines* concrete frontends; only
 :mod:`repro.workloads.catalog` may import them (workload-containment
@@ -24,12 +20,46 @@ lint).
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
+from repro.cmc_ops.mutex import init_lock, load_mutex_ops
+from repro.cmc_ops.ticket import init_ticket_lock, load_ticket_ops
 from repro.errors import WorkloadError
+from repro.faults.watchdog import TagWatchdog
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
-from repro.host.kernels.mutex_kernel import KERNEL_VERSION as _MUTEX_KERNEL_VERSION
+from repro.hmc.timing import DEFAULT_TIMING
+from repro.host.engine import HostEngine
+from repro.host.kernels.barrier import BarrierStats, _check_order, barrier_program
+from repro.host.kernels.bfs import run_bfs
+from repro.host.kernels.gups import GUPSStats, gups_program, hpcc_random_stream
+from repro.host.kernels.histogram import HistogramStats, _hist_program
+from repro.host.kernels.mutex_kernel import (
+    DEFAULT_LOCK_ADDR,
+    DEFAULT_MAX_CYCLES,
+    FAULT_WATCHDOG_TIMEOUT,
+    KERNEL_VERSION as _MUTEX_KERNEL_VERSION,
+    MutexRunStats,
+    mutex_program,
+)
+from repro.host.kernels.pointer_chase import (
+    PointerChaseStats,
+    build_chain,
+    chase_program,
+)
+from repro.host.kernels.sssp import run_sssp
+from repro.host.kernels.stream import (
+    StreamStats,
+    stream_triad_program,
+    windowed_triad_program,
+)
+from repro.host.kernels.ticket_kernel import (
+    DEFAULT_LOCK_ADDR as _TICKET_LOCK_ADDR,
+    TicketRunStats,
+    ticket_program,
+)
+from repro.host.window import WindowedEngine
+from repro.parallel.tasks import TaskSpec
 from repro.workloads.base import Footprint, ProgramFactory, WorkloadFrontend
 
 __all__ = [
@@ -46,12 +76,9 @@ __all__ = [
 
 
 class KernelAdapter(WorkloadFrontend):
-    """Shared shape for the legacy-kernel adapters."""
+    """Shared shape for the kernel frontends."""
 
     kind = "kernel"
-    #: Whether one ``build()`` covers the whole run (False for the
-    #: multi-engine wave kernels).
-    engine_drivable = True
     #: Whether the ``kernel`` CLI subcommand offers this workload.
     cli_kernel = True
 
@@ -77,11 +104,6 @@ class MutexWorkload(KernelAdapter):
     version = _MUTEX_KERNEL_VERSION
 
     def default_params(self) -> Dict[str, Any]:
-        from repro.host.kernels.mutex_kernel import (
-            DEFAULT_LOCK_ADDR,
-            DEFAULT_MAX_CYCLES,
-        )
-
         return {
             "threads": 16,
             "lock_addr": DEFAULT_LOCK_ADDR,
@@ -91,8 +113,8 @@ class MutexWorkload(KernelAdapter):
         }
 
     def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
-        from repro.cmc_ops.mutex import init_lock, load_mutex_ops
-
+        if params["threads"] < 1:
+            raise ValueError("threads must be >= 1")
         # Guard on this bundle's own command codes, not "any ops": a
         # warm context (serve session) may already carry a different
         # workload's CMC family.
@@ -100,9 +122,22 @@ class MutexWorkload(KernelAdapter):
             load_mutex_ops(sim)
         init_lock(sim, params["lock_addr"])
 
-    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        from repro.host.kernels.mutex_kernel import mutex_program
+    def make_engine(self, sim: HMCSim, params: Dict[str, Any]) -> HostEngine:
+        # A faulty run gets a per-tag watchdog: dropped responses are
+        # retransmitted instead of deadlocking the sweep.
+        watchdog = (
+            TagWatchdog(timeout=FAULT_WATCHDOG_TIMEOUT)
+            if sim.faults is not None
+            else None
+        )
+        return HostEngine(
+            sim,
+            max_cycles=params["max_cycles"],
+            watchdog=watchdog,
+            oracle_sample=params["oracle_sample"],
+        )
 
+    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
         lock_addr = params["lock_addr"]
         return [
             lambda ctx: mutex_program(ctx, lock_addr)
@@ -113,31 +148,42 @@ class MutexWorkload(KernelAdapter):
         params = self.resolve_params(params)
         return ((params["lock_addr"], 16),)
 
-    def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> bool:
-        # Every thread unlocks on its way out: the lock word ends free.
-        word = sim.mem_read(params["lock_addr"], 8)
-        return int.from_bytes(word, "little") == 0
-
-    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        from repro.host.kernels.mutex_kernel import run_mutex_workload
-
-        p = self.resolve_params(params)
-        return run_mutex_workload(
-            config,
-            p["threads"],
-            lock_addr=p["lock_addr"],
-            sim=sim,
-            max_cycles=p["max_cycles"],
-            fault_plan=fault_plan,
-            recorder=recorder,
-            oracle_sample=p["oracle_sample"],
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> MutexRunStats:
+        return MutexRunStats(
+            config_name=sim.config.describe(),
+            threads=params["threads"],
+            min_cycle=result.min_cycle,
+            max_cycle=result.max_cycle,
+            avg_cycle=result.avg_cycle,
+            total_cycles=result.total_cycles,
+            send_stalls=result.send_stalls,
+            cmc_executions=sum(op.executions for op in sim.cmc.operations()),
+            faults_injected=(
+                sum(sim.faults.counters().values()) if sim.faults is not None else 0
+            ),
+            retransmits=result.retransmits,
+            oracle_checks=result.oracle_checks,
         )
 
-    def task_spec(self, config, threads, *, fault_plan=None, **params):
+    def task_spec(
+        self,
+        config: HMCConfig,
+        threads: int,
+        *,
+        fault_plan: Any = None,
+        lock_addr: int = DEFAULT_LOCK_ADDR,
+        max_cycles: int = DEFAULT_MAX_CYCLES,
+    ) -> TaskSpec:
         """A picklable sweep point (the parallel engine's unit of work)."""
-        from repro.host.kernels.mutex_kernel import mutex_task_spec
-
-        return mutex_task_spec(config, threads, fault_plan=fault_plan, **params)
+        return TaskSpec(
+            kernel=self.name,
+            kernel_version=self.version,
+            runner="repro.workloads.registry:run_task_spec",
+            config=config,
+            threads=threads,
+            params=(("lock_addr", lock_addr), ("max_cycles", max_cycles)),
+            fault_plan=fault_plan,
+        )
 
     def format_stats(self, s, fault_plan=None) -> str:
         line = (
@@ -163,24 +209,20 @@ class TicketWorkload(KernelAdapter):
     recordable = True
 
     def default_params(self) -> Dict[str, Any]:
-        from repro.host.kernels.ticket_kernel import DEFAULT_LOCK_ADDR
-
         return {
             "threads": 16,
-            "lock_addr": DEFAULT_LOCK_ADDR,
+            "lock_addr": _TICKET_LOCK_ADDR,
             "max_cycles": 1_000_000,
         }
 
     def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
-        from repro.cmc_ops.ticket import init_ticket_lock, load_ticket_ops
-
+        if params["threads"] < 1:
+            raise ValueError("threads must be >= 1")
         if sim.cmc.lookup(21) is None:
             load_ticket_ops(sim)
         init_ticket_lock(sim, params["lock_addr"])
 
     def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        from repro.host.kernels.ticket_kernel import ticket_program
-
         lock_addr = params["lock_addr"]
         self._acquisitions: List[int] = []
         acquisitions = self._acquisitions
@@ -193,25 +235,15 @@ class TicketWorkload(KernelAdapter):
         params = self.resolve_params(params)
         return ((params["lock_addr"], 16),)
 
-    def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> bool:
-        acquired = getattr(self, "_acquisitions", None)
-        if acquired is None:
-            return None
-        return acquired == sorted(acquired) and len(acquired) == params["threads"]
-
-    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        from repro.host.kernels.ticket_kernel import run_ticket_workload
-
-        if fault_plan is not None:
-            raise WorkloadError("workload 'ticket' does not support fault plans")
-        p = self.resolve_params(params)
-        return run_ticket_workload(
-            config,
-            p["threads"],
-            lock_addr=p["lock_addr"],
-            sim=sim,
-            max_cycles=p["max_cycles"],
-            recorder=recorder,
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> TicketRunStats:
+        return TicketRunStats(
+            config_name=sim.config.describe(),
+            threads=params["threads"],
+            min_cycle=result.min_cycle,
+            max_cycle=result.max_cycle,
+            avg_cycle=result.avg_cycle,
+            total_cycles=result.total_cycles,
+            fifo_order=self._acquisitions == sorted(self._acquisitions),
         )
 
     def format_stats(self, s, fault_plan=None) -> str:
@@ -228,7 +260,8 @@ class StreamWorkload(KernelAdapter):
     description = "STREAM Triad bandwidth kernel (a = b + q*c)"
     accepts_sim = False
 
-    #: Array bases, 1 MiB apart (the legacy layout).
+    #: Array bases, 1 MiB apart, so stride-1 traffic sweeps
+    #: vaults/banks the way the interleave intends.
     _BASES = (1 << 20, 2 << 20, 3 << 20)
 
     def default_params(self) -> Dict[str, Any]:
@@ -241,32 +274,39 @@ class StreamWorkload(KernelAdapter):
             "max_cycles": 1_000_000,
         }
 
-    def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
+    @staticmethod
+    def _inputs(params: Dict[str, Any]):
         n = (
             params["threads"]
             * params["blocks_per_thread"]
             * (params["block_bytes"] // 8)
         )
-        _, b_base, c_base = self._BASES
         b_vals = [float(i % 97) for i in range(n)]
         c_vals = [float((i * 7) % 31) for i in range(n)]
+        return n, b_vals, c_vals
+
+    def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
+        n, b_vals, c_vals = self._inputs(params)
+        _, b_base, c_base = self._BASES
         sim.mem_write(b_base, struct.pack(f"<{n}d", *b_vals))
         sim.mem_write(c_base, struct.pack(f"<{n}d", *c_vals))
 
-    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        from repro.host.kernels.stream import stream_triad_program
-
+    def make_engine(self, sim: HMCSim, params: Dict[str, Any]) -> Any:
+        # Windowed: each thread keeps both input reads of a block in
+        # flight concurrently (memory-level parallelism in the kernel).
         if params["windowed"]:
-            raise WorkloadError(
-                "workload 'stream' is engine-drivable only with "
-                "windowed=False (the windowed variant needs the "
-                "windowed engine's batch-yield protocol)"
-            )
+            return WindowedEngine(sim, window=2, max_cycles=params["max_cycles"])
+        return super().make_engine(sim, params)
+
+    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
+        program = (
+            windowed_triad_program if params["windowed"] else stream_triad_program
+        )
         a_base, b_base, c_base = self._BASES
         bpt = params["blocks_per_thread"]
         q, bb = params["q"], params["block_bytes"]
         return [
-            lambda ctx, t=t: stream_triad_program(
+            lambda ctx, t=t: program(
                 ctx, a_base, b_base, c_base, t * bpt, bpt, q, bb
             )
             for t in range(params["threads"])
@@ -279,39 +319,22 @@ class StreamWorkload(KernelAdapter):
         )
         return tuple((base, size) for base in self._BASES)
 
-    def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> bool:
-        n = (
-            params["threads"]
-            * params["blocks_per_thread"]
-            * (params["block_bytes"] // 8)
-        )
-        a_base, _, _ = self._BASES
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> StreamStats:
+        n, b_vals, c_vals = self._inputs(params)
         q = params["q"]
-        got = struct.unpack(f"<{n}d", sim.mem_read(a_base, n * 8))
-        b_vals = [float(i % 97) for i in range(n)]
-        c_vals = [float((i * 7) % 31) for i in range(n)]
-        return all(
-            g == bv + q * cv for g, bv, cv in zip(got, b_vals, c_vals)
+        got = struct.unpack(f"<{n}d", sim.mem_read(self._BASES[0], n * 8))
+        err = max(abs(g - (bv + q * cv)) for g, bv, cv in zip(got, b_vals, c_vals))
+        bytes_moved = (
+            params["threads"] * params["blocks_per_thread"] * params["block_bytes"] * 3
         )
-
-    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        from repro.host.kernels.stream import run_stream_triad
-
-        if fault_plan is not None:
-            raise WorkloadError("workload 'stream' does not support fault plans")
-        if recorder is not None:
-            raise WorkloadError("workload 'stream' cannot be trace-recorded")
-        if sim is not None:
-            raise WorkloadError("workload 'stream' builds its own context")
-        p = self.resolve_params(params)
-        return run_stream_triad(
-            config,
-            num_threads=p["threads"],
-            blocks_per_thread=p["blocks_per_thread"],
-            q=p["q"],
-            block_bytes=p["block_bytes"],
-            windowed=p["windowed"],
-            max_cycles=p["max_cycles"],
+        return StreamStats(
+            config_name=sim.config.describe(),
+            threads=params["threads"],
+            elements=n,
+            cycles=result.total_cycles,
+            bytes_moved=bytes_moved,
+            bytes_per_cycle=bytes_moved / result.total_cycles,
+            max_abs_error=err,
         )
 
     def format_stats(self, s, fault_plan=None) -> str:
@@ -328,6 +351,7 @@ class GUPSWorkload(KernelAdapter):
     description = "HPCC RandomAccess (atomic XOR16 vs read-modify-write)"
     accepts_sim = False
 
+    #: The table starts at zero (cold pages read as zero): no preload.
     _TABLE_BASE = 1 << 20
 
     def default_params(self) -> Dict[str, Any]:
@@ -340,11 +364,15 @@ class GUPSWorkload(KernelAdapter):
             "max_cycles": 2_000_000,
         }
 
-    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        from repro.host.kernels.gups import gups_program, hpcc_random_stream
+    @staticmethod
+    def _updates(params: Dict[str, Any]) -> List[int]:
+        return hpcc_random_stream(
+            params["seed"], params["threads"] * params["updates_per_thread"]
+        )
 
+    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
         upd = params["updates_per_thread"]
-        all_updates = hpcc_random_stream(params["seed"], params["threads"] * upd)
+        all_updates = self._updates(params)
         entries, atomic = params["table_entries"], params["atomic"]
         return [
             lambda ctx, chunk=all_updates[t * upd : (t + 1) * upd]: gups_program(
@@ -357,41 +385,29 @@ class GUPSWorkload(KernelAdapter):
         params = self.resolve_params(params)
         return ((self._TABLE_BASE, params["table_entries"] * 16),)
 
-    def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any):
-        if not params["atomic"]:
-            return None  # rmw mode tolerates lost updates by design
-        from repro.host.kernels.gups import hpcc_random_stream
-
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> GUPSStats:
+        # XOR-folding every update is order-independent, so the atomic
+        # mode must match exactly; rmw mode may lose updates to races
+        # (as HPCC itself tolerates) and reports that as unverified.
+        all_updates = self._updates(params)
         entries = params["table_entries"]
         ref = [0] * entries
-        for r in hpcc_random_stream(
-            params["seed"], params["threads"] * params["updates_per_thread"]
-        ):
+        for r in all_updates:
             ref[r % entries] ^= r
-        return all(
+        verified = all(
             int.from_bytes(sim.mem_read(self._TABLE_BASE + i * 16, 8), "little")
             == ref[i]
             for i in range(entries)
         )
-
-    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        from repro.host.kernels.gups import run_gups
-
-        if fault_plan is not None:
-            raise WorkloadError("workload 'gups' does not support fault plans")
-        if recorder is not None:
-            raise WorkloadError("workload 'gups' cannot be trace-recorded")
-        if sim is not None:
-            raise WorkloadError("workload 'gups' builds its own context")
-        p = self.resolve_params(params)
-        return run_gups(
-            config,
-            num_threads=p["threads"],
-            updates_per_thread=p["updates_per_thread"],
-            table_entries=p["table_entries"],
-            use_atomic=p["atomic"],
-            seed=p["seed"],
-            max_cycles=p["max_cycles"],
+        return GUPSStats(
+            config_name=sim.config.describe(),
+            mode="atomic" if params["atomic"] else "rmw",
+            threads=params["threads"],
+            updates=len(all_updates),
+            cycles=result.total_cycles,
+            updates_per_cycle=len(all_updates) / result.total_cycles,
+            requests=sum(t.requests for t in result.threads),
+            verified=verified,
         )
 
     def cli_variants(self, threads: int) -> List[Dict[str, Any]]:
@@ -413,7 +429,6 @@ class BFSWorkload(KernelAdapter):
     name = "bfs"
     description = "level-synchronous BFS (CASEQ8 visited-marking vs rmw)"
     accepts_sim = False
-    engine_drivable = False
 
     def default_params(self) -> Dict[str, Any]:
         return {
@@ -433,14 +448,7 @@ class BFSWorkload(KernelAdapter):
         )
 
     def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        from repro.host.kernels.bfs import run_bfs
-
-        if fault_plan is not None:
-            raise WorkloadError("workload 'bfs' does not support fault plans")
-        if recorder is not None:
-            raise WorkloadError("workload 'bfs' cannot be trace-recorded")
-        if sim is not None:
-            raise WorkloadError("workload 'bfs' builds its own context")
+        self.refuse(sim=sim, fault_plan=fault_plan, recorder=recorder)
         p = self.resolve_params(params)
         return run_bfs(
             config,
@@ -487,6 +495,7 @@ class HistogramWorkload(KernelAdapter):
 
     @staticmethod
     def _samples(params: Dict[str, Any]) -> List[int]:
+        """Deterministic skewed sample stream (low bins hotter)."""
         state = params["seed"] & 0xFFFFFFFFFFFFFFFF
         samples: List[int] = []
         for _ in range(params["threads"] * params["samples_per_thread"]):
@@ -496,9 +505,11 @@ class HistogramWorkload(KernelAdapter):
             )
         return samples
 
-    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        from repro.host.kernels.histogram import _hist_program
+    def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
+        if params["mode"] not in ("atomic", "posted", "rmw"):
+            raise ValueError(f"unknown histogram mode {params['mode']!r}")
 
+    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
         spt = params["samples_per_thread"]
         samples = self._samples(params)
         mode = params["mode"]
@@ -514,39 +525,35 @@ class HistogramWorkload(KernelAdapter):
         return ((self._BINS_BASE, params["bins"] * 16),)
 
     def finish(self, sim: HMCSim, params: Dict[str, Any]) -> None:
+        # Posted increments may still be in flight when programs finish.
         if params["mode"] == "posted":
             sim.drain()
 
-    def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any):
-        if params["mode"] == "rmw":
-            return None  # lost updates are the point of the rmw mode
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> HistogramStats:
+        samples = self._samples(params)
         ref = [0] * params["bins"]
-        for s in self._samples(params):
+        for s in samples:
             ref[s] += 1
-        return all(
-            int.from_bytes(sim.mem_read(self._BINS_BASE + b * 16, 8), "little")
-            == ref[b]
+        lost = sum(
+            ref[b]
+            - int.from_bytes(sim.mem_read(self._BINS_BASE + b * 16, 8), "little")
             for b in range(params["bins"])
         )
-
-    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        from repro.host.kernels.histogram import run_histogram
-
-        if fault_plan is not None:
-            raise WorkloadError("workload 'hist' does not support fault plans")
-        if recorder is not None:
-            raise WorkloadError("workload 'hist' cannot be trace-recorded")
-        if sim is not None:
-            raise WorkloadError("workload 'hist' builds its own context")
-        p = self.resolve_params(params)
-        return run_histogram(
-            config,
-            num_threads=p["threads"],
-            samples_per_thread=p["samples_per_thread"],
-            num_bins=p["bins"],
-            mode=p["mode"],
-            seed=p["seed"],
-            max_cycles=p["max_cycles"],
+        flits = sum(
+            link.flits_in + link.flits_out for d in sim.devices for link in d.links
+        )
+        return HistogramStats(
+            config_name=sim.config.describe(),
+            mode=params["mode"],
+            threads=params["threads"],
+            samples=len(samples),
+            bins=params["bins"],
+            cycles=result.total_cycles,
+            requests=sum(t.requests for t in result.threads),
+            flits=flits,
+            flits_per_sample=flits / len(samples),
+            exact=lost == 0,
+            lost_updates=lost,
         )
 
     def cli_variants(self, threads: int) -> List[Dict[str, Any]]:
@@ -579,17 +586,16 @@ class PointerChaseWorkload(KernelAdapter):
             "max_cycles": 1_000_000,
         }
 
-    def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
-        from repro.host.kernels.pointer_chase import build_chain
+    def make_sim(self, config: HMCConfig, params: Dict[str, Any]) -> HMCSim:
+        return HMCSim(config, timing=DEFAULT_TIMING if params["timing"] else None)
 
+    def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
         self._head = build_chain(
             sim, params["base"], params["length"], scatter=params["scatter"]
         )
 
     def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        from repro.host.kernels.pointer_chase import chase_program
-
-        head = getattr(self, "_head", params["base"])
+        head = self._head
         self._visited: List[int] = []
         visited = self._visited
         return [lambda ctx: chase_program(ctx, head, visited)]
@@ -598,30 +604,17 @@ class PointerChaseWorkload(KernelAdapter):
         params = self.resolve_params(params)
         return ((params["base"], params["length"] * 16),)
 
-    def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any):
-        visited = getattr(self, "_visited", None)
-        if visited is None:
-            return None
-        return visited == list(range(params["length"]))
-
-    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        from repro.hmc.timing import DEFAULT_TIMING
-        from repro.host.kernels.pointer_chase import run_pointer_chase
-
-        if fault_plan is not None:
-            raise WorkloadError("workload 'chase' does not support fault plans")
-        if recorder is not None:
-            raise WorkloadError("workload 'chase' cannot be trace-recorded")
-        if sim is not None:
-            raise WorkloadError("workload 'chase' builds its own context")
-        p = self.resolve_params(params)
-        return run_pointer_chase(
-            config,
-            length=p["length"],
-            scatter=p["scatter"],
-            timing=DEFAULT_TIMING if p["timing"] else None,
-            base=p["base"],
-            max_cycles=p["max_cycles"],
+    def stats(
+        self, sim: HMCSim, params: Dict[str, Any], result: Any
+    ) -> PointerChaseStats:
+        return PointerChaseStats(
+            config_name=sim.config.describe(),
+            length=params["length"],
+            scattered=params["scatter"],
+            timed=params["timing"],
+            cycles=result.total_cycles,
+            cycles_per_hop=result.total_cycles / params["length"],
+            order_correct=self._visited == list(range(params["length"])),
         )
 
     def format_stats(self, s, fault_plan=None) -> str:
@@ -649,13 +642,13 @@ class BarrierWorkload(KernelAdapter):
         }
 
     def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
+        if params["threads"] < 2:
+            raise ValueError("a barrier needs at least 2 threads")
         if sim.cmc.lookup(4) is None:
             sim.load_cmc("repro.cmc_ops.fadd64")
         sim.mem_write(params["addr"], bytes(16))
 
     def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        from repro.host.kernels.barrier import barrier_program
-
         addr, threads, rounds = params["addr"], params["threads"], params["rounds"]
         self._log: List = []
         log = self._log
@@ -668,29 +661,15 @@ class BarrierWorkload(KernelAdapter):
         params = self.resolve_params(params)
         return ((params["addr"], 16),)
 
-    def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any):
-        from repro.host.kernels.barrier import _check_order
-
-        log = getattr(self, "_log", None)
-        if log is None:
-            return None
-        return _check_order(log, params["threads"], params["rounds"])
-
-    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        from repro.host.kernels.barrier import run_barrier_workload
-
-        if fault_plan is not None:
-            raise WorkloadError("workload 'barrier' does not support fault plans")
-        if recorder is not None:
-            raise WorkloadError("workload 'barrier' cannot be trace-recorded")
-        p = self.resolve_params(params)
-        return run_barrier_workload(
-            config,
-            p["threads"],
-            rounds=p["rounds"],
-            addr=p["addr"],
-            sim=sim,
-            max_cycles=p["max_cycles"],
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> BarrierStats:
+        threads, rounds = params["threads"], params["rounds"]
+        return BarrierStats(
+            config_name=sim.config.describe(),
+            threads=threads,
+            rounds=rounds,
+            total_cycles=result.total_cycles,
+            cycles_per_round=result.total_cycles / rounds,
+            order_correct=_check_order(self._log, threads, rounds),
         )
 
     def format_stats(self, s, fault_plan=None) -> str:
@@ -707,7 +686,6 @@ class SSSPWorkload(KernelAdapter):
     name = "sssp"
     description = "single-source shortest paths (CMC07 amin64 vs rmw)"
     accepts_sim = False
-    engine_drivable = False
 
     def default_params(self) -> Dict[str, Any]:
         return {
@@ -727,14 +705,7 @@ class SSSPWorkload(KernelAdapter):
         )
 
     def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        from repro.host.kernels.sssp import run_sssp
-
-        if fault_plan is not None:
-            raise WorkloadError("workload 'sssp' does not support fault plans")
-        if recorder is not None:
-            raise WorkloadError("workload 'sssp' cannot be trace-recorded")
-        if sim is not None:
-            raise WorkloadError("workload 'sssp' builds its own context")
+        self.refuse(sim=sim, fault_plan=fault_plan, recorder=recorder)
         p = self.resolve_params(params)
         return run_sssp(
             config,

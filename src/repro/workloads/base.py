@@ -2,14 +2,20 @@
 
 HMC-Sim 2.0's evaluation (§V) drives the device with hand-written host
 kernels; our reproduction grew nine of them under
-:mod:`repro.host.kernels`, each with its own runner signature.  This
-module is the seam that makes them interchangeable: a
-:class:`WorkloadFrontend` turns a ``(config, params)`` pair into thread
-programs for the host engine, the same way Ramulator 2's frontend
-interface makes trace-driven and execution-driven workloads swappable
-implementations of one API.
+:mod:`repro.host.kernels`.  This module is the seam that makes them
+interchangeable: a :class:`WorkloadFrontend` turns a ``(config,
+params)`` pair into thread programs for the host engine, the same way
+Ramulator 2's frontend interface makes trace-driven and
+execution-driven workloads swappable implementations of one API.
 
-A frontend declares:
+:meth:`WorkloadFrontend.run` is the one driver: refuse unsupported
+inputs, build the context (:meth:`~WorkloadFrontend.make_sim`), set
+up device state (:meth:`~WorkloadFrontend.prepare`), run one engine
+(:meth:`~WorkloadFrontend.make_engine`) over
+:meth:`~WorkloadFrontend.build`'s programs, settle
+(:meth:`~WorkloadFrontend.finish`), and turn the engine result into
+the kernel's stats object (:meth:`~WorkloadFrontend.stats`).  A
+frontend declares:
 
 ``build(sim, params)``
     The heart of the seam: a list of thread-program factories
@@ -29,9 +35,10 @@ A frontend declares:
     pairs — consumed by trace tooling and the differential oracle's
     conflict fencing.
 
-``verify(sim, params, result)``
-    Post-run correctness hook (``None`` when the workload has no
-    memory-checkable answer).
+``stats(sim, params, result)``
+    The run's stats object, built from the engine result and the final
+    device state; a kernel's correctness check (lock order, table
+    contents, numeric error) is computed here, once.
 
 Frontends are registered by string name in
 :class:`repro.workloads.registry.WorkloadRegistry`; only the catalog
@@ -48,6 +55,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import WorkloadError
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
+from repro.host.engine import HostEngine
 from repro.host.thread import Program, ThreadCtx
 
 __all__ = ["Footprint", "WorkloadFrontend", "WorkloadError"]
@@ -131,11 +139,36 @@ class WorkloadFrontend(ABC):
     def finish(self, sim: HMCSim, params: Dict[str, Any]) -> None:
         """Post-engine settling (e.g. draining posted traffic)."""
 
-    def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> Optional[bool]:
-        """Post-run check; ``None`` when nothing is memory-checkable."""
-        return None
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> Any:
+        """The run's stats object (default: the bare engine result)."""
+        return result
 
     # -- driving --------------------------------------------------------------
+
+    def make_sim(self, config: HMCConfig, params: Dict[str, Any]) -> HMCSim:
+        """A fresh simulation context for one run."""
+        return HMCSim(config)
+
+    def make_engine(self, sim: HMCSim, params: Dict[str, Any]) -> Any:
+        """The engine that drives :meth:`build`'s programs."""
+        return HostEngine(sim, max_cycles=int(params.get("max_cycles", 1_000_000)))
+
+    def refuse(
+        self, *, sim: Any = None, fault_plan: Any = None, recorder: Any = None
+    ) -> None:
+        """Reject the run inputs this frontend declares it cannot take."""
+        if fault_plan is not None and not self.supports_faults:
+            raise WorkloadError(
+                f"workload {self.name!r} does not support fault plans"
+            )
+        if recorder is not None and not self.recordable:
+            raise WorkloadError(
+                f"workload {self.name!r} cannot be trace-recorded"
+            )
+        if sim is not None and not self.accepts_sim:
+            raise WorkloadError(
+                f"workload {self.name!r} builds its own context"
+            )
 
     def run(
         self,
@@ -148,38 +181,23 @@ class WorkloadFrontend(ABC):
     ) -> Any:
         """Run the workload once and return its stats object.
 
-        The default implementation drives one
-        :class:`~repro.host.engine.HostEngine` over :meth:`build`'s
-        programs; kernel adapters override it to delegate to their
-        legacy entrypoints (bit-identical by construction), multi-phase
-        kernels to their own orchestration.
+        On a caller-provided ``sim`` device state accumulates across
+        runs; :meth:`prepare` is idempotent, so the caller never
+        prepares it first.  A fault plan is attached unless the context
+        already carries one.
         """
-        from repro.host.engine import HostEngine
-
-        if fault_plan is not None and not self.supports_faults:
-            raise WorkloadError(
-                f"workload {self.name!r} does not support fault plans"
-            )
-        if recorder is not None and not self.recordable:
-            raise WorkloadError(
-                f"workload {self.name!r} cannot be trace-recorded"
-            )
+        self.refuse(sim=sim, fault_plan=fault_plan, recorder=recorder)
         resolved = self.resolve_params(params)
         if sim is None:
-            sim = HMCSim(config)
+            sim = self.make_sim(config, resolved)
+        if fault_plan is not None and sim.faults is None:
+            sim.attach_faults(fault_plan)
         self.prepare(sim, resolved)
-        engine = HostEngine(
-            sim, max_cycles=int(resolved.get("max_cycles", 1_000_000))
-        )
+        engine = self.make_engine(sim, resolved)
         if recorder is not None:
             engine.recorder = recorder
         for factory in self.build(sim, resolved):
             engine.add_thread(factory)
         result = engine.run()
         self.finish(sim, resolved)
-        result_verified = self.verify(sim, resolved, result)
-        if result_verified is False:
-            raise WorkloadError(
-                f"workload {self.name!r} failed post-run verification"
-            )
-        return result
+        return self.stats(sim, resolved, result)

@@ -264,20 +264,17 @@ class GraphWorkload(WorkloadFrontend):
     def build_graph(self, sim: HMCSim, params: Dict[str, Any]) -> TaskGraph:
         raise NotImplementedError
 
+    def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> bool:
+        """Check the scenario's answer in simulated memory."""
+        raise NotImplementedError
+
     def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
         return build_graph_programs(
             self.build_graph(sim, params), flags_base=params["flags_base"]
         )
 
     def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        if fault_plan is not None:
-            raise WorkloadError(
-                f"workload {self.name!r} does not support fault plans"
-            )
-        if recorder is not None:
-            raise WorkloadError(
-                f"workload {self.name!r} cannot be trace-recorded"
-            )
+        self.refuse(sim=sim, fault_plan=fault_plan, recorder=recorder)
         p = self.resolve_params(params)
         if sim is None:
             sim = HMCSim(config)

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from typing import Callable, Dict, List, Tuple, Type
+from typing import Any, Callable, Dict, List, Tuple, Type
 
 from repro.errors import WorkloadError
 from repro.workloads.base import WorkloadFrontend
 
-__all__ = ["WorkloadRegistry", "WORKLOADS", "register_workload"]
+__all__ = ["WorkloadRegistry", "WORKLOADS", "register_workload", "run_task_spec"]
 
 
 class WorkloadRegistry:
@@ -146,3 +146,17 @@ def register_workload(
 ) -> Type[WorkloadFrontend]:
     """Register a frontend with the global registry (decorator-friendly)."""
     return WORKLOADS.register(frontend, replace=replace)
+
+
+def run_task_spec(spec: Any) -> Any:
+    """Execute one sweep point (the parallel engine's worker entry).
+
+    ``spec`` is a :class:`~repro.parallel.tasks.TaskSpec` built by a
+    frontend's ``task_spec``; its thread count and kernel parameters
+    become the workload's params.
+    """
+    return WORKLOADS.get(spec.kernel).run(
+        spec.config,
+        {"threads": spec.threads, **spec.param_dict()},
+        fault_plan=spec.fault_plan,
+    )

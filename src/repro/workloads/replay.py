@@ -126,7 +126,6 @@ def record_workload(
         )
     resolved = frontend.resolve_params(params)
     sim = HMCSim(config)
-    frontend.prepare(sim, resolved)
     recorder = TraceRecorder()
     stats = frontend.run(
         config, resolved, sim=sim, fault_plan=fault_plan, recorder=recorder
@@ -401,10 +400,7 @@ class TraceReplayWorkload(WorkloadFrontend):
         ]
 
     def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        if fault_plan is not None:
-            raise WorkloadError("workload 'trace' does not support fault plans")
-        if recorder is not None:
-            raise WorkloadError("a replay cannot itself be recorded")
+        self.refuse(sim=sim, fault_plan=fault_plan, recorder=recorder)
         p = self.resolve_params(params)
         trace = self._trace(p)
         if p["mode"] == "open":

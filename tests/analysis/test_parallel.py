@@ -17,7 +17,6 @@ import pytest
 from repro.analysis import sweep as sweep_mod
 from repro.analysis.sweep import run_mutex_sweep
 from repro.hmc.config import HMCConfig
-from repro.host.kernels.mutex_kernel import mutex_task_spec
 from repro.parallel import (
     SweepCache,
     SweepExecutor,
@@ -29,6 +28,13 @@ from repro.parallel import (
     resolve_jobs,
     run_task,
 )
+from repro.workloads.registry import WORKLOADS
+
+
+def mutex_task_spec(config, threads, **kw):
+    """A mutex sweep point, as ``run_mutex_sweep`` builds them."""
+    return WORKLOADS.get("mutex").task_spec(config, threads, **kw)
+
 
 #: Reduced sweep axis: cheap, but still spans low and contended counts.
 AXIS = list(range(2, 11))
@@ -144,8 +150,6 @@ class TestTaskSpecs:
         )
 
     def test_workload_fingerprint_is_part_of_the_key(self):
-        from repro.workloads.registry import WORKLOADS
-
         spec = mutex_task_spec(HMCConfig.cfg_4link_4gb(), 2)
         assert WORKLOADS.fingerprint("mutex") in cache_key(spec)
         assert cache_key(spec).startswith("mutex-")
@@ -154,7 +158,6 @@ class TestTaskSpecs:
         # No-alias: the cache key must track the implementation behind
         # the registry name, not the name alone.
         from repro.workloads.adapters import MutexWorkload
-        from repro.workloads.registry import WORKLOADS
 
         spec = mutex_task_spec(HMCConfig.cfg_4link_4gb(), 2)
         before = cache_key(spec)

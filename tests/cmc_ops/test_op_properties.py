@@ -95,11 +95,11 @@ class TestDeterminism:
     def test_mutex_workload_deterministic(self):
         """Two identical runs produce byte-identical statistics — the
         reproducibility property every result in EXPERIMENTS.md rests on."""
-        from repro.host.kernels.mutex_kernel import run_mutex_workload
+        from repro.workloads.registry import WORKLOADS
 
         cfg = HMCConfig.cfg_4link_4gb()
-        a = run_mutex_workload(cfg, 37)
-        b = run_mutex_workload(cfg, 37)
+        a = WORKLOADS.get("mutex").run(cfg, {"threads": 37})
+        b = WORKLOADS.get("mutex").run(cfg, {"threads": 37})
         assert (a.min_cycle, a.max_cycle, a.avg_cycle, a.total_cycles) == (
             b.min_cycle,
             b.max_cycle,
@@ -108,11 +108,12 @@ class TestDeterminism:
         )
 
     def test_gups_deterministic(self):
-        from repro.host.kernels.gups import run_gups
+        from repro.workloads.registry import WORKLOADS
 
         cfg = HMCConfig.cfg_4link_4gb()
-        a = run_gups(cfg, num_threads=4, updates_per_thread=8)
-        b = run_gups(cfg, num_threads=4, updates_per_thread=8)
+        params = {"threads": 4, "updates_per_thread": 8}
+        a = WORKLOADS.get("gups").run(cfg, params)
+        b = WORKLOADS.get("gups").run(cfg, params)
         assert a.cycles == b.cycles and a.requests == b.requests
 
     def test_open_loop_deterministic(self):

@@ -246,23 +246,6 @@ class TestFaultStateRoundtrip:
         with pytest.raises(HMCSimError, match="watchdog"):
             restore_checkpoint(sim2, p)
 
-    def test_version2_file_restores_with_empty_fault_state(
-        self, cfg4, tmp_path
-    ):
-        sim = HMCSim(cfg4)
-        sim.mem_write(0x100, b"legacy")
-        p = save_checkpoint(sim, tmp_path / "cp.json")
-        doc = json.loads(p.read_text())
-        # Rewrite as a version-2 document: no fault-era keys at all.
-        doc["version"] = 2
-        for key in ("outstanding", "faults", "watchdog"):
-            del doc[key]
-        p.write_text(json.dumps(doc))
-        sim2 = HMCSim(cfg4)
-        restore_checkpoint(sim2, p)
-        assert sim2.mem_read(0x100, 6) == b"legacy"
-        assert not sim2._outstanding
-
     def test_fault_free_checkpoint_restores_into_faulty_context(
         self, cfg4, tmp_path
     ):
@@ -321,18 +304,6 @@ class TestOracleStateRoundtrip:
                 pair_oracle.mem_write(0x100 * i, data)
         assert oracle2.snapshot_state() == oracle.snapshot_state()
         assert sim2.mem_read(0, 0x100 * 16) == sim.mem_read(0, 0x100 * 16)
-
-    def test_v3_file_restores_without_oracle_state(self, cfg4, tmp_path):
-        sim = HMCSim(cfg4)
-        sim.mem_write(0x40, b"\x03" + bytes(15))
-        p = save_checkpoint(sim, tmp_path / "cp.json")
-        doc = json.loads(p.read_text())
-        doc["version"] = 3
-        doc.pop("oracle")
-        p.write_text(json.dumps(doc))
-        sim2 = HMCSim(cfg4)
-        restore_checkpoint(sim2, p)
-        assert sim2.mem_read(0x40, 16) == b"\x03" + bytes(15)
 
     def test_oracle_state_needs_oracle(self, cfg4, tmp_path):
         from repro.oracle import Oracle
@@ -429,29 +400,29 @@ class TestGuards:
 
 class TestBarrierKernel:
     def test_rounds_complete_in_order(self, cfg4):
-        from repro.host.kernels.barrier import run_barrier_workload
+        from repro.workloads.registry import WORKLOADS
 
-        stats = run_barrier_workload(cfg4, 8, rounds=4)
+        stats = WORKLOADS.get("barrier").run(cfg4, {"threads": 8, "rounds": 4})
         assert stats.order_correct
         assert stats.total_cycles > 0
 
     def test_many_threads(self, cfg4):
-        from repro.host.kernels.barrier import run_barrier_workload
+        from repro.workloads.registry import WORKLOADS
 
-        stats = run_barrier_workload(cfg4, 20, rounds=3)
+        stats = WORKLOADS.get("barrier").run(cfg4, {"threads": 20, "rounds": 3})
         assert stats.order_correct
 
     def test_needs_two_threads(self, cfg4):
-        from repro.host.kernels.barrier import run_barrier_workload
+        from repro.workloads.registry import WORKLOADS
 
         with pytest.raises(ValueError):
-            run_barrier_workload(cfg4, 1)
+            WORKLOADS.get("barrier").run(cfg4, {"threads": 1})
 
     def test_cost_scales_with_rounds(self, cfg4):
-        from repro.host.kernels.barrier import run_barrier_workload
+        from repro.workloads.registry import WORKLOADS
 
-        r2 = run_barrier_workload(cfg4, 8, rounds=2)
-        r6 = run_barrier_workload(cfg4, 8, rounds=6)
+        r2 = WORKLOADS.get("barrier").run(cfg4, {"threads": 8, "rounds": 2})
+        r6 = WORKLOADS.get("barrier").run(cfg4, {"threads": 8, "rounds": 6})
         assert r6.total_cycles > r2.total_cycles
 
 
@@ -470,7 +441,7 @@ class TestRejectionDiagnostics:
             restore_checkpoint(HMCSim(cfg4), p)
         msg = str(exc.value)
         assert "99" in msg  # the file's actual version
-        assert "2, 3, 4" in msg  # every supported version
+        assert "supported versions: 4;" in msg  # every supported version
         assert "cp.json" in msg  # which file was rejected
 
     def test_config_error_names_differing_fields(self, cfg4, cfg8, tmp_path):

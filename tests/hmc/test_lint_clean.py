@@ -149,6 +149,33 @@ def test_workload_containment_exempts_the_catalog(tmp_path: Path) -> None:
     assert diags == []
 
 
+def test_kernels_build_no_sim_or_engine() -> None:
+    lint = _load_lint()
+    diags = lint.run_kernel_driver_check()
+    assert diags == [], "\n".join(diags)
+
+
+def test_kernel_driver_check_flags_planted_violations(tmp_path: Path) -> None:
+    """Bare and dotted constructor calls are caught; bfs/sssp are exempt."""
+    lint = _load_lint()
+    (tmp_path / "rogue.py").write_text(
+        "from repro.hmc.sim import HMCSim\n"
+        "from repro.host import engine, window\n"
+        "def run(config):\n"
+        "    sim = HMCSim(config)\n"
+        "    engine.HostEngine(sim)\n"
+        "    window.WindowedEngine(sim, window=2)\n"
+        "    return sim.clock()  # not a constructor: allowed\n"
+    )
+    (tmp_path / "bfs.py").write_text("sim = HMCSim(config)\n")
+    diags = lint.run_kernel_driver_check(tmp_path)
+    assert len(diags) == 3, "\n".join(diags)
+    assert all("rogue.py" in d for d in diags)
+    assert {"HMCSim", "HostEngine", "WindowedEngine"} == {
+        name for d in diags for name in lint.DRIVER_CLASSES if f" {name} " in d
+    }
+
+
 def test_lint_script_runs_standalone() -> None:
     import subprocess
 

@@ -74,10 +74,10 @@ class TestSampler:
     def test_sampling_does_not_perturb(self):
         """A sampled run and an unsampled run produce identical results."""
         from repro.cmc_ops.mutex import load_mutex_ops
-        from repro.host.kernels.mutex_kernel import run_mutex_workload
+        from repro.workloads.registry import WORKLOADS
 
         cfg = HMCConfig.cfg_4link_4gb()
-        plain = run_mutex_workload(cfg, 16)
+        plain = WORKLOADS.get("mutex").run(cfg, {"threads": 16})
 
         sim = HMCSim(cfg)
         load_mutex_ops(sim)
@@ -90,7 +90,7 @@ class TestSampler:
             return rc
 
         sim.clock = sampled_clock  # type: ignore[method-assign]
-        sampled = run_mutex_workload(cfg, 16, sim=sim)
+        sampled = WORKLOADS.get("mutex").run(cfg, {"threads": 16}, sim=sim)
         assert (plain.min_cycle, plain.max_cycle, plain.avg_cycle) == (
             sampled.min_cycle,
             sampled.max_cycle,

@@ -26,9 +26,41 @@ class TestThreadSpec:
     def test_bad_specs(self):
         import argparse
 
-        for bad in ("x", "5:2", "0:5", "1:2:3:4", "2:10:0"):
+        for bad in ("x", "5:2", "0:5", "1:2:3:4", "2:10:0", "0", "-3"):
             with pytest.raises(argparse.ArgumentTypeError):
                 _parse_threads(bad)
+
+
+class TestBadInput:
+    """Bad counts and flag combinations fail as usage errors (exit 2 or
+    an ``hmcsim-repro: error`` line), never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernel", "mutex", "--threads", "0"],
+            ["kernel", "bfs", "--threads", "0"],
+            ["kernel", "mutex", "--oracle-sample", "0"],
+            ["sweep", "--threads", "0"],
+            ["sweep", "--threads", "-2"],
+            ["trace", "record", "mutex", "--threads", "-3", "-o", "t.jsonl"],
+        ],
+    )
+    def test_count_below_one_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv, out=io.StringIO())
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
+
+    def test_fault_with_oracle_sample_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "kernel", "mutex", "--threads", "4",
+                "--fault", "xbar_drop=0.01", "--oracle-sample", "8",
+            )
+        assert str(exc.value).startswith("hmcsim-repro: error:")
+        assert "--oracle-sample" in str(exc.value)
 
 
 class TestCommands:

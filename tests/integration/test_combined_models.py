@@ -44,12 +44,14 @@ class TestAllModelsTogether:
 
     def test_mutex_workload_under_all_models(self, full_sim):
         from repro.cmc_ops.mutex import load_mutex_ops
-        from repro.host.kernels.mutex_kernel import run_mutex_workload
+        from repro.workloads.registry import WORKLOADS
 
         sim = full_sim
         load_mutex_ops(sim)
-        stats = run_mutex_workload(
-            HMCConfig.cfg_4link_4gb(), 12, sim=sim, max_cycles=100_000
+        stats = WORKLOADS.get("mutex").run(
+            HMCConfig.cfg_4link_4gb(),
+            {"threads": 12, "max_cycles": 100_000},
+            sim=sim,
         )
         # Slower than the clean baseline (timing + retries), still correct.
         assert stats.min_cycle >= 6

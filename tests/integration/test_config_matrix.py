@@ -79,9 +79,11 @@ class TestBlockSizeMatrix:
     def test_mutex_min_cycle_invariant_to_bsize(self, bsize):
         # §V.B: the max block size "subsequently does not affect our
         # respective simulation" — a 16-byte lock never spans blocks.
-        from repro.host.kernels.mutex_kernel import run_mutex_workload
+        from repro.workloads.registry import WORKLOADS
 
-        stats = run_mutex_workload(HMCConfig.cfg_4link_4gb(bsize=bsize), 2)
+        stats = WORKLOADS.get("mutex").run(
+            HMCConfig.cfg_4link_4gb(bsize=bsize), {"threads": 2}
+        )
         assert stats.min_cycle == 6
 
 

@@ -1,104 +1,54 @@
-"""Kernel digest parity: registry adapters vs legacy entrypoints.
+"""Kernel-stats parity: registry runs vs the legacy-runner golden.
 
-The adapters delegate to the legacy runners, so registry-resolved runs
-are bit-identical by construction — this suite pins that contract
-against drift: every kernel, both shipped configurations, full stats
-equality (the stats objects are dataclasses, so ``==`` covers every
-field, including cycle counts and verification flags).
+``golden_kernel_stats.json`` holds every kernel's stats object as the
+original per-kernel ``run_*`` entrypoints produced it, encoded with
+:func:`repro.serve.schemas.encode_value`.  Every kernel now runs through
+the one generic driver, ``WorkloadFrontend.run``; this suite pins it
+to those results field for field — cycle counts, verification flags,
+fault and oracle counters — at every point in
+``kernel_stats_points.py``: both shipped configurations for every
+kernel, plus one run per per-kernel hook of the driver.
+
+Regenerate with ``scripts/capture_kernel_stats_golden.py`` only when a
+change is meant to alter simulated results.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.hmc.config import HMCConfig
+from repro.serve.schemas import canonical_json, encode_value
 from repro.workloads.registry import WORKLOADS
 
-#: Reduced parameters per kernel (the defaults are CLI-sized; these
-#: keep 18 runs tier-1 fast while still exercising contention).
-PARAMS = {
-    "mutex": {"threads": 4},
-    "ticket": {"threads": 4},
-    "stream": {"threads": 4, "blocks_per_thread": 2},
-    "gups": {"threads": 4, "updates_per_thread": 8, "table_entries": 64},
-    "bfs": {"threads": 4, "vertices": 32, "degree": 3},
-    "hist": {"threads": 4, "samples_per_thread": 8, "bins": 8},
-    "chase": {"length": 16},
-    "barrier": {"threads": 4, "rounds": 2},
-    "sssp": {"threads": 4, "vertices": 32, "degree": 3},
-}
+from .kernel_stats_points import BASE, PARAMS, VARIANTS
+
+GOLDEN = json.loads(
+    (Path(__file__).with_name("golden_kernel_stats.json")).read_text()
+)
 
 
-def _legacy_run(name: str, cfg: HMCConfig, p: dict):
-    """The pre-seam entrypoint call for each kernel, verbatim."""
-    if name == "mutex":
-        from repro.host.kernels.mutex_kernel import run_mutex_workload
+def _check(point: str, result) -> None:
+    assert canonical_json(encode_value(result)) == canonical_json(GOLDEN[point])
 
-        return run_mutex_workload(cfg, p["threads"])
-    if name == "ticket":
-        from repro.host.kernels.ticket_kernel import run_ticket_workload
 
-        return run_ticket_workload(cfg, p["threads"])
-    if name == "stream":
-        from repro.host.kernels.stream import run_stream_triad
-
-        return run_stream_triad(
-            cfg, num_threads=p["threads"], blocks_per_thread=p["blocks_per_thread"]
-        )
-    if name == "gups":
-        from repro.host.kernels.gups import run_gups
-
-        return run_gups(
-            cfg,
-            num_threads=p["threads"],
-            updates_per_thread=p["updates_per_thread"],
-            table_entries=p["table_entries"],
-        )
-    if name == "bfs":
-        from repro.host.kernels.bfs import run_bfs
-
-        return run_bfs(
-            cfg,
-            num_vertices=p["vertices"],
-            avg_degree=p["degree"],
-            num_threads=p["threads"],
-        )
-    if name == "hist":
-        from repro.host.kernels.histogram import run_histogram
-
-        return run_histogram(
-            cfg,
-            num_threads=p["threads"],
-            samples_per_thread=p["samples_per_thread"],
-            num_bins=p["bins"],
-        )
-    if name == "chase":
-        from repro.host.kernels.pointer_chase import run_pointer_chase
-
-        return run_pointer_chase(cfg, length=p["length"])
-    if name == "barrier":
-        from repro.host.kernels.barrier import run_barrier_workload
-
-        return run_barrier_workload(cfg, p["threads"], rounds=p["rounds"])
-    if name == "sssp":
-        from repro.host.kernels.sssp import run_sssp
-
-        return run_sssp(
-            cfg,
-            num_vertices=p["vertices"],
-            avg_degree=p["degree"],
-            num_threads=p["threads"],
-        )
-    raise AssertionError(f"no legacy runner for {name!r}")
+def test_golden_covers_every_point():
+    assert sorted(GOLDEN) == sorted({**BASE, **VARIANTS})
 
 
 @pytest.mark.parametrize("cfg_name", ["cfg_4link_4gb", "cfg_8link_8gb"])
 @pytest.mark.parametrize("name", sorted(PARAMS))
 def test_registry_run_matches_legacy_entrypoint(name, cfg_name):
-    cfg = getattr(HMCConfig, cfg_name)()
-    legacy = _legacy_run(name, cfg, PARAMS[name])
-    via_registry = WORKLOADS.get(name).run(cfg, PARAMS[name])
-    assert via_registry == legacy
+    point = f"{name}-{cfg_name}"
+    _check(point, BASE[point]())
+
+
+@pytest.mark.parametrize("point", sorted(VARIANTS))
+def test_driver_hook_matches_legacy_entrypoint(point):
+    _check(point, VARIANTS[point]())
 
 
 @pytest.mark.parametrize("name", sorted(PARAMS))

@@ -152,3 +152,34 @@ def test_lookup_during_lazy_load_waits_for_the_catalog():
     second.join(timeout=30)
     assert not first.is_alive() and not second.is_alive()
     assert seen == [True]
+
+
+@pytest.mark.parametrize(
+    "hook", ["make_sim", "prepare", "make_engine", "finish", "stats"]
+)
+def test_every_driver_hook_has_an_overriding_frontend(hook):
+    # A hook of WorkloadFrontend.run that no frontend overrides is dead
+    # configurability; each one exists for at least one kernel.
+    base = getattr(WorkloadFrontend, hook)
+    assert any(
+        getattr(cls, hook) is not base for cls in WORKLOADS.classes().values()
+    )
+
+
+@pytest.mark.parametrize(
+    "name, kwargs, message",
+    [
+        ("stream", {"sim": "warm"}, "builds its own context"),
+        ("bfs", {"sim": "warm"}, "builds its own context"),
+        ("ticket", {"fault_plan": "plan"}, "does not support fault plans"),
+        ("graph:counter", {"recorder": "rec"}, "cannot be trace-recorded"),
+        ("trace", {"recorder": "rec"}, "cannot be trace-recorded"),
+    ],
+)
+def test_run_refuses_what_the_frontend_declares(name, kwargs, message):
+    # One refusal check, driven by accepts_sim / supports_faults /
+    # recordable, guards every frontend's run before any work starts.
+    from repro.hmc.config import HMCConfig
+
+    with pytest.raises(WorkloadError, match=message):
+        WORKLOADS.get(name).run(HMCConfig.cfg_4link_4gb(), **kwargs)
