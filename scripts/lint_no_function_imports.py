@@ -47,12 +47,14 @@ Six checks, all run by ``main`` (and by
    derived from the live registry, so a newly registered frontend is
    automatically covered.
 
-6. **One workload driver** in ``src/repro/host/kernels/``.  Kernel
-   modules hold thread programs and stats dataclasses; the generic
-   ``WorkloadFrontend.run`` builds the simulation context and the
-   engine for every single-engine kernel.  No kernel module may
-   construct ``HMCSim``, ``HostEngine`` or ``WindowedEngine`` — except
-   the multi-phase BFS and SSSP kernels, which run one engine per wave.
+6. **One workload driver** in ``src/repro/``.  Kernel modules
+   (``src/repro/host/kernels/``) hold thread programs and stats
+   dataclasses and construct no ``HMCSim``, ``HostEngine`` or
+   ``WindowedEngine``; the generic ``WorkloadFrontend.run`` builds the
+   simulation context and one engine per wave for every workload.  No
+   module outside ``workloads/base.py`` (the driver) and
+   ``workloads/adapters.py`` (the kernel frontends' ``make_engine``
+   hooks) may construct a host engine.
 
 Usage:  python scripts/lint_no_function_imports.py
 Exit status 0 when clean, 1 with one ``path:line`` diagnostic per
@@ -343,37 +345,61 @@ def run_workload_containment(
     return out
 
 
-#: Kernel modules, and the multi-phase ones that drive their own waves.
+#: Kernel modules: thread programs and stats dataclasses only.
 KERNELS_DIR = SRC_ROOT / "host" / "kernels"
-KERNEL_DRIVER_ALLOWED = ("bfs.py", "sssp.py")
 DRIVER_CLASSES = frozenset({"HMCSim", "HostEngine", "WindowedEngine"})
+#: Host engines, and the only modules that may construct them.
+ENGINE_CLASSES = frozenset({"HostEngine", "WindowedEngine"})
+ENGINE_BUILDERS = (
+    SRC_ROOT / "workloads" / "base.py",
+    SRC_ROOT / "workloads" / "adapters.py",
+)
 
 
-def run_kernel_driver_check(
-    root: Path = KERNELS_DIR, allowed: tuple = KERNEL_DRIVER_ALLOWED
-) -> List[str]:
-    """Diagnostics for kernel modules constructing a sim or an engine.
+def _constructor_calls(path: Path, names: frozenset) -> List[Tuple[int, str]]:
+    """``(line, class)`` for every bare (``HostEngine(sim)``) or dotted
+    (``engine.HostEngine(sim)``) call of a class in ``names``."""
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        if name in names:
+            calls.append((node.lineno, name))
+    return calls
 
-    Catches bare (``HostEngine(sim)``) and dotted
-    (``engine.HostEngine(sim)``) constructor calls alike.
-    """
+
+def run_kernel_driver_check(root: Path = KERNELS_DIR) -> List[str]:
+    """Diagnostics for kernel modules constructing a sim or an engine."""
     out: List[str] = []
     for path in sorted(root.rglob("*.py")):
-        if path.name in allowed:
+        shown = path.relative_to(REPO) if path.is_relative_to(REPO) else path
+        for lineno, name in _constructor_calls(path, DRIVER_CLASSES):
+            out.append(
+                f"{shown}:{lineno}: kernel module constructs {name} — "
+                f"kernels provide programs and stats; "
+                f"WorkloadFrontend.run builds the sim and the engine"
+            )
+    return out
+
+
+def run_engine_driver_check(
+    root: Path = SRC_ROOT, allowed: tuple = ENGINE_BUILDERS
+) -> List[str]:
+    """Diagnostics for host engines constructed outside the driver."""
+    out: List[str] = []
+    for path in sorted(root.rglob("*.py")):
+        if path in allowed:
             continue
         shown = path.relative_to(REPO) if path.is_relative_to(REPO) else path
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-            if name in DRIVER_CLASSES:
-                out.append(
-                    f"{shown}:{node.lineno}: kernel module constructs "
-                    f"{name} — kernels provide programs and stats; "
-                    f"WorkloadFrontend.run builds the sim and the engine"
-                )
+        for lineno, name in _constructor_calls(path, ENGINE_CLASSES):
+            out.append(
+                f"{shown}:{lineno}: module constructs {name} — run "
+                f"workloads through WORKLOADS.get(name).run; only "
+                f"WorkloadFrontend.run and the frontends' make_engine "
+                f"hooks build engines"
+            )
     return out
 
 
@@ -385,6 +411,7 @@ def main() -> int:
         + run_vector_containment()
         + run_workload_containment()
         + run_kernel_driver_check()
+        + run_engine_driver_check()
     )
     for diag in diags:
         print(diag)

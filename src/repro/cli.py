@@ -36,7 +36,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace as _replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.analysis import tables as _tables
 from repro.analysis.export import sweep_to_csv, write_csv
@@ -55,15 +55,24 @@ from repro.workloads.registry import WORKLOADS
 __all__ = ["main", "build_parser"]
 
 
-def _positive_int(spec: str) -> int:
-    """Parse a count that must be at least 1 (thread counts, sampling)."""
-    try:
-        value = int(spec)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad count {spec!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"count must be >= 1 (got {value})")
-    return value
+def _positive(kind: Callable[[str], Any]) -> Callable[[str], Any]:
+    """An argparse type: a finite ``kind`` number above zero (thread
+    counts, sampling intervals, lengths, depths, rates)."""
+
+    def parse(spec: str) -> Any:
+        try:
+            value = kind(spec)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad number {spec!r}") from None
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be > 0 (got {spec})")
+        return value
+
+    return parse
+
+
+_positive_int = _positive(int)
+_positive_float = _positive(float)
 
 
 def _parse_threads(spec: str) -> List[int]:
@@ -307,11 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
         "rate-driven traffic replay (default closed)",
     )
     p_replay.add_argument(
-        "--rate", type=float, default=4.0,
+        "--rate", type=_positive_float, default=4.0,
         help="open-loop offered rate in requests/cycle (default 4.0)",
     )
     p_replay.add_argument(
-        "--depth", type=int, default=None, metavar="N",
+        "--depth", type=_positive_int, default=None, metavar="N",
         help="open-loop in-flight target: gate injection on N outstanding "
         "requests instead of --rate (deep-queue regime)",
     )
@@ -345,10 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_open = sub.add_parser(
         "openloop", help="open-loop latency vs offered load"
     )
-    p_open.add_argument("--rate", type=float, default=8.0, help="requests/cycle")
-    p_open.add_argument("--duration", type=int, default=256)
     p_open.add_argument(
-        "--depth", type=int, default=None, metavar="N",
+        "--rate", type=_positive_float, default=8.0, help="requests/cycle"
+    )
+    p_open.add_argument("--duration", type=_positive_int, default=256)
+    p_open.add_argument(
+        "--depth", type=_positive_int, default=None, metavar="N",
         help="in-flight target: gate injection on N outstanding requests "
         "instead of --rate (which then only sizes the stream)",
     )
@@ -357,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_component_arg(p_open)
 
     p_chase = sub.add_parser("chase", help="pointer-chase latency kernel")
-    p_chase.add_argument("--length", type=int, default=64)
+    p_chase.add_argument("--length", type=_positive_int, default=64)
     p_chase.add_argument("--scatter", action="store_true")
     p_chase.add_argument("--timing", action="store_true", help="attach DRAM timing")
     p_chase.add_argument("--config", choices=["4link", "8link"], default="4link")
@@ -676,8 +687,6 @@ def _cmd_trace(args, out) -> int:
         return 0
 
     # replay
-    from repro.workloads.replay import replay_open_loop, replay_trace
-
     trace = WorkloadTrace.load(args.trace_file)
     cfg = None
     if args.config or args.components:
@@ -685,11 +694,13 @@ def _cmd_trace(args, out) -> int:
             "8link" if trace.config_name == "8link_8gb" else "4link"
         )
         cfg = _configs(base, args.components)[0]
+    rs = WORKLOADS.get("trace").run(
+        cfg,
+        {"trace": trace, "mode": args.mode, "rate": args.rate, "depth": args.depth},
+    )
     if args.mode == "open":
-        s = replay_open_loop(trace, config=cfg, rate=args.rate, depth=args.depth)
-        _write_openloop(s, out)
+        _write_openloop(rs, out)
         return 0
-    rs = replay_trace(trace, config=cfg)
     r = rs.result
     out.write(
         f"{rs.config_name} trace replay"

@@ -106,7 +106,7 @@ class WorkloadError(HMCSimError):
     name, mirroring the component registry.  Registering a duplicate
     name, requesting an unknown workload, passing parameters a frontend
     does not declare, or driving a frontend in a mode it does not
-    support (e.g. recording a multi-phase kernel) raises this error.
+    support (e.g. recording a multi-wave kernel) raises this error.
     """
 
 
@@ -150,8 +150,8 @@ class InvariantViolation(HMCSimError):
 class OracleDivergenceError(HMCSimError):
     """The cycle engine disagreed with the functional reference model.
 
-    Raised by the host engine's online sampled oracle
-    (``HostEngine(oracle_sample=N)``) when a shadow-executed request's
+    Raised by the host engine's online sampled oracle (a
+    ``HostEngine`` built with ``oracle_sample=N``) when a shadow-executed request's
     expected response does not match the one the datapath produced.
     Like :class:`SimDeadlockError` it carries a
     :class:`repro.faults.diagnostics.DeadlockDump` (``dump``

@@ -36,15 +36,6 @@ __all__ = ["HostEngine", "EngineResult", "ThreadResult"]
 _BY_TID = attrgetter("tid")
 
 
-def _recv_iter(sim, dev, link):
-    """One-at-a-time drain of a link (the unbatched retirement path)."""
-    while True:
-        rsp = sim.recv(dev=dev, link=link)
-        if rsp is None:
-            return
-        yield rsp
-
-
 @dataclass(frozen=True)
 class ThreadResult:
     """Completion record for one simulated thread."""
@@ -127,18 +118,11 @@ class HostEngine:
         max_cycles: int = 1_000_000,
         watchdog: Optional[TagWatchdog] = None,
         invariants: Union[bool, InvariantChecker, None] = None,
-        batched: bool = True,
         oracle_sample: Optional[int] = None,
     ):
         self.sim = sim
         self.max_cycles = max_cycles
         self.watchdog = watchdog
-        #: Batched host-side retirement: drain each link's whole retire
-        #: buffer with one ``recv_batch`` call per cycle instead of one
-        #: ``recv`` round-trip per response.  Identical semantics (the
-        #: parity tests pin per-thread completion cycles); ``False``
-        #: keeps the one-at-a-time path for those comparisons.
-        self.batched = batched
         if invariants is True:
             invariants = InvariantChecker(sim)
         elif invariants is False:
@@ -200,13 +184,10 @@ class HostEngine:
 
     # -- the engine loop ------------------------------------------------------
 
-    def _try_send(self, thread: SimThread, cycle: Optional[int] = None) -> None:
-        """Inject a READY thread's pending packet; resume posted sends.
-
-        ``cycle`` may be passed by callers that already know the current
-        cycle (the run loop reads it once per phase instead of once per
-        thread); it is only used to timestamp posted-send resumes.
-        """
+    def _try_send(self, thread: SimThread, cycle: int) -> None:
+        """Inject a READY thread's pending packet at ``cycle`` (the
+        current cycle, read once per phase by the run loop); resume
+        posted sends."""
         pkt = thread.pending
         assert pkt is not None
         shadow = self.shadow
@@ -228,9 +209,7 @@ class HostEngine:
         thread.requests += 1
         thread.pending = None
         if self.recorder is not None:
-            self.recorder.on_send(
-                self.sim.cycle if cycle is None else cycle, thread, pkt
-            )
+            self.recorder.on_send(cycle, thread, pkt)
         if self.sim._expects_response(pkt):
             thread.state = ThreadState.WAITING
             if shadow is not None:
@@ -241,12 +220,12 @@ class HostEngine:
                     pkt,
                     dev=thread.ctx.cub,
                     link=thread.ctx.link,
-                    cycle=self.sim.cycle if cycle is None else cycle,
+                    cycle=cycle,
                 )
         else:
             # Posted: the program resumes with None and may produce its
             # next request, injected on a later cycle.
-            thread.resume(None, self.sim.cycle if cycle is None else cycle)
+            thread.resume(None, cycle)
 
     def run(self) -> EngineResult:
         """Run until every thread completes; return the statistics.
@@ -300,7 +279,6 @@ class HostEngine:
         wd = self.watchdog
         checker = self.invariants
         resilient = self.resilient
-        batched = self.batched
         while live:
             cyc = sim.cycle
             if cyc >= deadline:
@@ -346,25 +324,21 @@ class HostEngine:
             sim.clock()
             cyc = sim.cycle
             # Phase 3: drain responses, resume threads, same-cycle
-            # reissue.  Batched mode takes each link's completed
-            # responses as one vector per cycle; the one-at-a-time
-            # recv loop below it is behaviourally identical (responses
-            # only appear during ``sim.clock``, so nothing can land in
-            # the retire buffer mid-drain) and kept for parity tests.
+            # reissue.  Each link's completed responses arrive as one
+            # vector per cycle: responses only appear during
+            # ``sim.clock``, so nothing can land in the retire buffer
+            # mid-drain, and the vector is exactly what one ``recv``
+            # per response would have popped.
             for dev in range(num_devs):
                 links = sim.devices[dev].links
                 for link in range(num_links):
                     if not links[link].drain_ready():
                         continue
-                    if batched:
-                        responses = sim.recv_batch(dev=dev, link=link)
-                    else:
-                        responses = _recv_iter(sim, dev, link)
-                    for rsp in responses:
-                        if batched and resilient:
-                            # The serial path discards the outstanding
-                            # key as each response is popped, so a
-                            # duplicated response arriving *after* a
+                    for rsp in sim.recv_batch(dev=dev, link=link):
+                        if resilient:
+                            # One ``recv`` per response would discard
+                            # the outstanding key as each is popped, so
+                            # a duplicated response arriving *after* a
                             # same-cycle reissue re-armed the tag
                             # consumes the reissue's entry.  recv_batch
                             # discharged the whole vector up front;

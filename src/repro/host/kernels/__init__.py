@@ -5,11 +5,10 @@ the one way to run a kernel is by name through the workload registry
 (``WORKLOADS.get(name).run(config, params)`` — see
 :mod:`repro.workloads`), whose frontends own the construction (device
 preloads, thread fan-out, the stats object and its correctness check)
-and drive every single-engine kernel through one generic driver.  Only
-the multi-phase kernels (:mod:`~repro.host.kernels.bfs`,
-:mod:`~repro.host.kernels.sssp`) build their own engines, one per wave;
-a structural lint (``scripts/lint_no_function_imports.py``) keeps it
-that way.
+and drive every kernel through one generic driver — the
+level-synchronous BFS and SSSP kernels as one engine wave per
+frontier.  No kernel module builds a sim or an engine; a structural
+lint (``scripts/lint_no_function_imports.py``) keeps it that way.
 
 * :mod:`repro.host.kernels.mutex_kernel` — the paper's Algorithm 1
   (the §V evaluation workload).

@@ -73,7 +73,7 @@ def windowed_triad_program(
     q: float,
     block_bytes: int,
 ):
-    """Triad with batched issue: both input reads of a block in flight
+    """Triad with windowed issue: both input reads of a block in flight
     together (for :class:`repro.host.window.WindowedEngine`)."""
     n = block_bytes // 8
     for blk in range(start_block, start_block + num_blocks):

@@ -13,7 +13,9 @@ a ``build(idx, tag)`` callback at ``offered_rate`` requests/cycle for
 ``duration`` cycles, with the 11-bit tag space bounding the in-flight
 population exactly as it would a real host; when no tag is free the
 injector drops the injection slot and counts it (offered > sustainable
-load shows up as both latency growth and injection backlog).
+load shows up as both latency growth and injection backlog).  Responses
+still missing :data:`MAX_DRAIN` cycles after injection ends raise
+:class:`~repro.errors.SimDeadlockError`.
 
 :func:`run_open_loop` is the classic characterization harness on top:
 RD16 traffic over a deterministic address pattern ("uniform" LCG
@@ -27,12 +29,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.errors import HMCStatus
+from repro.errors import HMCStatus, SimDeadlockError
+from repro.faults.diagnostics import collect_deadlock_dump
 from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
 
-__all__ = ["OpenLoopStats", "drive_open_loop", "run_open_loop"]
+__all__ = ["MAX_DRAIN", "OpenLoopStats", "drive_open_loop", "run_open_loop"]
+
+#: Safety bound, in cycles, on the depth-gated injection window and on
+#: the drain phase.
+MAX_DRAIN = 100_000
 
 _LCG_MUL = 6364136223846793005
 _LCG_ADD = 1442695040888963407
@@ -64,11 +71,11 @@ class OpenLoopStats:
     pattern: str
     offered_rate: float
     duration: int
-    injected: int
-    completed: int
+    injected: int = 0
+    completed: int = 0
     #: Injection slots lost to full queues or an empty tag pool.
-    backlogged: int
-    drain_cycles: int
+    backlogged: int = 0
+    drain_cycles: int = 0
     latencies: List[int] = field(default_factory=list)
     #: In-flight target when the run was depth-gated (``--depth``);
     #: ``None`` for pure rate-driven runs.
@@ -114,7 +121,6 @@ def drive_open_loop(
     *,
     offered_rate: float,
     duration: int,
-    max_drain: int = 100_000,
     link_for: Optional[Callable[[int], int]] = None,
     depth: Optional[int] = None,
 ) -> OpenLoopStats:
@@ -132,7 +138,6 @@ def drive_open_loop(
         offered_rate: requests per device cycle (fractional rates use a
             deterministic accumulator).
         duration: injection window in cycles; the run then drains.
-        max_drain: drain-phase safety bound.
         link_for: link choice per stream index; round-robin over the
             config's links when omitted.
         depth: when set, ignore ``offered_rate``/``duration`` and gate
@@ -144,6 +149,10 @@ def drive_open_loop(
             genuine queue refusals count as ``backlogged``.
             ``stats.duration`` is rewritten to the *measured* injection
             window so ``achieved_rate`` stays honest.
+
+    Raises:
+        SimDeadlockError: if responses are still outstanding
+            :data:`MAX_DRAIN` cycles into the drain phase.
     """
     num_links = sim.config.num_links
     free_tags = list(range(0x800))
@@ -160,26 +169,32 @@ def drive_open_loop(
                 stats.latencies.append(sim.cycle - inject_cycle.pop(rsp.tag))
                 free_tags.append(rsp.tag)
 
+    def inject() -> bool:
+        """Send request ``idx`` on a free tag; False when it stalls."""
+        nonlocal idx
+        tag = free_tags.pop()
+        pkt = build(idx, tag)
+        link = link_rr if link_for is None else link_for(idx)
+        if sim.send(pkt, link=link) is HMCStatus.STALL:
+            free_tags.append(tag)
+            stats.backlogged += 1
+            return False
+        if sim._expects_response(pkt):
+            inject_cycle[tag] = sim.cycle
+        else:
+            free_tags.append(tag)  # posted: nothing to await
+        stats.injected += 1
+        idx += 1
+        return True
+
     if depth is not None:
         if depth < 1:
             raise ValueError("depth must be >= 1")
         window = 0
-        while idx < count and window < max_drain:
+        while idx < count and window < MAX_DRAIN:
             while len(inject_cycle) < depth and idx < count and free_tags:
-                tag = free_tags.pop()
-                pkt = build(idx, tag)
-                link = link_rr if link_for is None else link_for(idx)
-                status = sim.send(pkt, link=link)
-                if status is HMCStatus.STALL:
-                    free_tags.append(tag)
-                    stats.backlogged += 1
+                if not inject():
                     break
-                if sim._expects_response(pkt):
-                    inject_cycle[tag] = sim.cycle
-                else:
-                    free_tags.append(tag)  # posted: nothing to await
-                stats.injected += 1
-                idx += 1
                 link_rr = (link_rr + 1) % num_links
             sim.clock()
             drain_responses()
@@ -194,30 +209,25 @@ def drive_open_loop(
                 if not free_tags:
                     stats.backlogged += 1
                     continue
-                tag = free_tags.pop()
-                pkt = build(idx, tag)
-                link = link_rr if link_for is None else link_for(idx)
-                status = sim.send(pkt, link=link)
-                if status is HMCStatus.STALL:
-                    free_tags.append(tag)
-                    stats.backlogged += 1
-                else:
-                    if sim._expects_response(pkt):
-                        inject_cycle[tag] = sim.cycle
-                    else:
-                        free_tags.append(tag)  # posted: nothing to await
-                    stats.injected += 1
-                    idx += 1
+                inject()
                 link_rr = (link_rr + 1) % num_links
             sim.clock()
             drain_responses()
 
     # Drain phase: no new injections.
     drained = 0
-    while inject_cycle and drained < max_drain:
+    while inject_cycle and drained < MAX_DRAIN:
         sim.clock()
         drain_responses()
         drained += 1
+    if inject_cycle:
+        lost = len(inject_cycle)
+        tags = " ".join(f"tag{t}" for t in sorted(inject_cycle)[:32])
+        raise SimDeadlockError(
+            f"open-loop stream did not drain within {MAX_DRAIN} cycles "
+            f"({lost} request(s) still in flight)",
+            dump=collect_deadlock_dump(sim, extra={f"in-flight tags ({lost})": tags}),
+        )
     stats.drain_cycles = drained
     return stats
 
@@ -230,7 +240,6 @@ def run_open_loop(
     pattern: str = "uniform",
     footprint: int = 1 << 22,
     seed: int = 0xFEED,
-    max_drain: int = 100_000,
     depth: Optional[int] = None,
 ) -> OpenLoopStats:
     """Inject RD16 traffic at a fixed rate and measure latency/throughput.
@@ -244,7 +253,6 @@ def run_open_loop(
         pattern: "uniform" scatter or "stride" streaming.
         footprint: byte range the addresses cover.
         seed: pattern seed.
-        max_drain: drain-phase safety bound.
         depth: in-flight target; switches the injector to depth-gated
             mode (see :func:`drive_open_loop`).
     """
@@ -256,10 +264,6 @@ def run_open_loop(
         pattern=pattern,
         offered_rate=offered_rate,
         duration=duration,
-        injected=0,
-        completed=0,
-        backlogged=0,
-        drain_cycles=0,
     )
     return drive_open_loop(
         sim,
@@ -268,6 +272,5 @@ def run_open_loop(
         lambda idx, tag: sim.build_memrequest(hmc_rqst_t.RD16, addrs[idx], tag),
         offered_rate=offered_rate,
         duration=duration,
-        max_drain=max_drain,
         depth=depth,
     )

@@ -2,8 +2,8 @@
 
 PR 5's differential oracle only validates the datapath in offline
 batch runs; this module makes the same functional reference a
-*resident* property of any host-engine workload.  With
-``HostEngine(oracle_sample=N)`` the engine samples roughly one in
+*resident* property of any host-engine workload.  Built with
+``oracle_sample=N``, a ``HostEngine`` samples roughly one in
 ``N`` response-expecting requests and shadow-executes it against
 :class:`repro.oracle.model.Oracle`, raising
 :class:`~repro.errors.OracleDivergenceError` when the device's answer

@@ -195,10 +195,7 @@ class WindowedEngine:
             self.sim.clock()
             for dev in range(self.sim.config.num_devs):
                 for link in range(self.sim.config.num_links):
-                    while True:
-                        rsp = self.sim.recv(dev=dev, link=link)
-                        if rsp is None:
-                            break
+                    for rsp in self.sim.recv_batch(dev=dev, link=link):
                         entry = self._by_tag.pop(rsp.tag, None)
                         if entry is None:
                             raise HMCSimError(

@@ -26,7 +26,8 @@ Submission kinds::
 
     workload  {"workload": name, "params": {...}}   registry-resolved run
               on the session's warm simulator
-    raw       {"requests": [{cmd, addr, data?, cub?, link?}, ...]}
+    raw       {"requests": [{cmd, addr, data?, cub?, link?}, ...],
+               "max_cycles"?}
               a fenced request stream; responses stream back
     sweep     {"workload": name, "threads": [...]}  fanned over the
               shared parallel pool + disk cache (fingerprint dedup)

@@ -127,6 +127,11 @@ def build_session_config(config_name: str, components: Dict[str, str]):
     return _replace(cfg, **overrides) if overrides else cfg
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer (``bool`` subclasses ``int`` but is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _journal_line(record: Dict[str, Any]) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -344,6 +349,12 @@ class SimSession:
                 )
             from repro.hmc.commands import hmc_rqst_t
 
+            max_cycles = spec.get("max_cycles", 1)
+            if not _is_int(max_cycles) or max_cycles < 1:
+                raise ServeError(
+                    "bad_request", "'max_cycles' must be a positive integer"
+                )
+            bounds = (("link", self.config.num_links), ("cub", self.config.num_devs))
             for i, rq in enumerate(requests):
                 if not isinstance(rq, dict):
                     raise ServeError("bad_request", f"request {i} must be an object")
@@ -352,10 +363,24 @@ class SimSession:
                     raise ServeError(
                         "bad_request", f"request {i}: unknown command {cmd!r}"
                     )
-                if not isinstance(rq.get("addr"), int):
+                if not _is_int(rq.get("addr")):
                     raise ServeError(
                         "bad_request", f"request {i}: 'addr' must be an integer"
                     )
+                try:
+                    bytes.fromhex(rq.get("data") or "")
+                except (TypeError, ValueError):
+                    raise ServeError(
+                        "bad_request", f"request {i}: 'data' must be a hex string"
+                    ) from None
+                for key, bound in bounds:
+                    value = rq.get(key, 0)
+                    if not _is_int(value) or not 0 <= value < bound:
+                        raise ServeError(
+                            "bad_request",
+                            f"request {i}: {key!r} must be an integer in "
+                            f"[0, {bound})",
+                        )
         elif kind == "sweep":
             frontend = WORKLOADS.get(name)
             if not hasattr(frontend, "task_spec"):
@@ -490,14 +515,12 @@ class SimSession:
         name = spec["workload"]
         frontend = WORKLOADS.get(name)
         params = frontend.resolve_params(spec.get("params") or {})
-        if frontend.accepts_sim:
-            # Warm path: device state accumulates across submissions.
-            stats = frontend.run(self.config, params, sim=self.sim)
-        else:
-            # Frontends that must build their own context (multi-phase
-            # kernels, trace replay) run cold; still deterministic, so
-            # journal replay regenerates identical results.
-            stats = frontend.run(self.config, params)
+        # Warm when the frontend takes a context (device state
+        # accumulates across submissions); frontends that build their
+        # own (multi-wave kernels, trace replay) run cold, still
+        # deterministically, so journal replay regenerates the result.
+        sim = self.sim if frontend.accepts_sim else None
+        stats = frontend.run(self.config, params, sim=sim)
         return {
             "workload": name,
             "warm": frontend.accepts_sim,
@@ -516,7 +539,7 @@ class SimSession:
 
         sim = self.sim
         requests = spec["requests"]
-        max_cycles = int(spec.get("max_cycles", 100_000))
+        max_cycles = spec.get("max_cycles", 100_000)
         num_links = sim.config.num_links
         free_tags = list(range(min(0x800, 2 * len(requests) + 4)))
         tag_to_index: Dict[int, int] = {}
@@ -548,12 +571,14 @@ class SimSession:
 
         for idx, rq in enumerate(requests):
             cmd = hmc_rqst_t[rq["cmd"]]
-            data = bytes.fromhex(rq.get("data", "") or "")
-            link = int(rq.get("link", idx % num_links)) % num_links
+            data = bytes.fromhex(rq.get("data") or "")
+            link = rq.get("link", idx % num_links)
             while not free_tags:
                 tick("tags")
             tag = free_tags.pop()
-            pkt = sim.build_memrequest(cmd, rq["addr"], tag, data=data)
+            pkt = sim.build_memrequest(
+                cmd, rq["addr"], tag, cub=rq.get("cub", 0), data=data
+            )
             while sim.send(pkt, link=link) is HMCStatus.STALL:
                 tick("stall")
             if sim._expects_response(pkt):

@@ -28,12 +28,10 @@ __all__ = [
     "WorkloadTrace",
     "TraceRecorder",
     "record_workload",
-    "replay_trace",
     "replay_open_loop",
     "trace_from_tracer",
     "TaskGraph",
     "TaskNode",
-    "run_task_graph",
 ]
 
 _EXPORTS = {
@@ -45,11 +43,9 @@ _EXPORTS = {
     "trace_from_tracer": ("repro.workloads.tracefmt", "trace_from_tracer"),
     "TraceRecorder": ("repro.workloads.replay", "TraceRecorder"),
     "record_workload": ("repro.workloads.replay", "record_workload"),
-    "replay_trace": ("repro.workloads.replay", "replay_trace"),
     "replay_open_loop": ("repro.workloads.replay", "replay_open_loop"),
     "TaskGraph": ("repro.workloads.graph", "TaskGraph"),
     "TaskNode": ("repro.workloads.graph", "TaskNode"),
-    "run_task_graph": ("repro.workloads.graph", "run_task_graph"),
 }
 
 

@@ -6,11 +6,12 @@ modules under :mod:`repro.host.kernels` hold the thread programs and
 stats dataclasses; the frontends here own the construction — preloads
 in :meth:`prepare`, thread fan-out in :meth:`build`, the stats object
 and its correctness check in :meth:`stats` — and the seam's generic
-:meth:`~repro.workloads.base.WorkloadFrontend.run` drives all seven
-single-engine kernels.  Trace recording and replay drive the same
-``prepare``/``build`` pair.  The two multi-phase kernels (BFS, SSSP)
-run one engine wave per frontier level or relaxation round, so they
-keep their own runners and override :meth:`run`.
+:meth:`~repro.workloads.base.WorkloadFrontend.run` drives all nine.
+Trace recording and replay drive the same ``prepare``/``build`` pair.
+The two level-synchronous kernels (BFS, SSSP) share
+:class:`FrontierWorkload`, whose
+:meth:`~repro.workloads.base.WorkloadFrontend.waves` yields one
+engine wave per frontier.
 
 This module *defines* concrete frontends; only
 :mod:`repro.workloads.catalog` may import them (workload-containment
@@ -20,18 +21,23 @@ lint).
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, List
+from abc import abstractmethod
+from typing import Any, Collection, Dict, List, Set, Tuple
 
 from repro.cmc_ops.mutex import init_lock, load_mutex_ops
 from repro.cmc_ops.ticket import init_ticket_lock, load_ticket_ops
-from repro.errors import WorkloadError
 from repro.faults.watchdog import TagWatchdog
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
 from repro.hmc.timing import DEFAULT_TIMING
 from repro.host.engine import HostEngine
 from repro.host.kernels.barrier import BarrierStats, _check_order, barrier_program
-from repro.host.kernels.bfs import run_bfs
+from repro.host.kernels.bfs import (
+    BFSStats,
+    _bfs_worker,
+    reference_bfs_levels,
+    synthetic_graph,
+)
 from repro.host.kernels.gups import GUPSStats, gups_program, hpcc_random_stream
 from repro.host.kernels.histogram import HistogramStats, _hist_program
 from repro.host.kernels.mutex_kernel import (
@@ -47,7 +53,13 @@ from repro.host.kernels.pointer_chase import (
     build_chain,
     chase_program,
 )
-from repro.host.kernels.sssp import run_sssp
+from repro.host.kernels.sssp import (
+    INFINITY,
+    SSSPStats,
+    _relax_worker,
+    reference_sssp,
+    weighted_graph,
+)
 from repro.host.kernels.stream import (
     StreamStats,
     stream_triad_program,
@@ -58,9 +70,10 @@ from repro.host.kernels.ticket_kernel import (
     TicketRunStats,
     ticket_program,
 )
+from repro.host.thread import Program, ThreadCtx
 from repro.host.window import WindowedEngine
 from repro.parallel.tasks import TaskSpec
-from repro.workloads.base import Footprint, ProgramFactory, WorkloadFrontend
+from repro.workloads.base import Footprint, ProgramFactory, Waves, WorkloadFrontend
 
 __all__ = [
     "MutexWorkload",
@@ -423,12 +436,69 @@ class GUPSWorkload(KernelAdapter):
         )
 
 
-class BFSWorkload(KernelAdapter):
+class FrontierWorkload(KernelAdapter):
+    """A level-synchronous graph kernel: one engine wave per frontier.
+
+    :meth:`prepare` seeds ``_frontier``; each wave splits its
+    :meth:`work` over the threads, whose :meth:`worker` programs
+    collect the vertices they found (claimed, improved), and
+    :meth:`advance` turns those into the next frontier.  The waves
+    stop at an empty frontier or one with no work.
+    """
+
+    accepts_sim = False
+
+    @abstractmethod
+    def work(self, sim: HMCSim, params: Dict[str, Any]) -> List[Any]:
+        """The frontier's work items, in issue order."""
+
+    @abstractmethod
+    def worker(self, ctx: ThreadCtx, params, part, found: List[int]) -> Program:
+        """One thread's share of a wave."""
+
+    @abstractmethod
+    def advance(self, found: List[int]) -> Collection[int]:
+        """The next frontier from a wave's found vertices."""
+
+    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
+        """The work in contiguous per-thread chunks (empty ones dropped)."""
+        work, threads = self.work(sim, params), params["threads"]
+        chunk = (len(work) + threads - 1) // threads
+        self._found: List[List[int]] = []
+        programs = []
+        for t in range(threads):
+            part = work[t * chunk : (t + 1) * chunk]
+            if not part:
+                continue
+            found: List[int] = []
+            self._found.append(found)
+            programs.append(
+                lambda ctx, part=part, found=found: self.worker(
+                    ctx, params, part, found
+                )
+            )
+        return programs
+
+    def waves(self, sim: HMCSim, params: Dict[str, Any]) -> Waves:
+        self._waves = self._requests = 0
+        while self._frontier:
+            self._waves += 1
+            programs = self.build(sim, params)
+            if not programs:
+                return
+            result = yield programs
+            self._requests += sum(t.requests for t in result.threads)
+            self._frontier = self.advance([v for f in self._found for v in f])
+
+
+class BFSWorkload(FrontierWorkload):
     """Level-synchronous BFS: one engine wave per frontier level."""
 
     name = "bfs"
     description = "level-synchronous BFS (CASEQ8 visited-marking vs rmw)"
-    accepts_sim = False
+
+    #: One 16-byte level word per vertex.
+    _LEVEL_BASE = 1 << 20
 
     def default_params(self) -> Dict[str, Any]:
         return {
@@ -441,24 +511,67 @@ class BFSWorkload(KernelAdapter):
             "max_cycles": 5_000_000,
         }
 
-    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        raise WorkloadError(
-            "workload 'bfs' is multi-phase (one engine per frontier "
-            "level); drive it through run()"
+    def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
+        self._edges = synthetic_graph(
+            params["vertices"], params["degree"], params["seed"]
+        )
+        self._adj: Dict[int, List[int]] = {}
+        for u, v in self._edges:
+            self._adj.setdefault(u, []).append(v)
+            self._adj.setdefault(v, []).append(u)
+        root = params["root"]
+        sim.mem_write(
+            self._LEVEL_BASE + root * 16, (1).to_bytes(8, "little") + bytes(8)
+        )
+        self._levels = {root: 1}
+        self._frontier = [root]
+
+    def work(self, sim: HMCSim, params: Dict[str, Any]) -> List[Tuple[int, int]]:
+        """Every frontier edge to a vertex not yet levelled."""
+        return [
+            (u, v)
+            for u in self._frontier
+            for v in self._adj.get(u, ())
+            if v not in self._levels
+        ]
+
+    def worker(self, ctx, params, part, found) -> Program:
+        return _bfs_worker(
+            ctx, self._LEVEL_BASE, part, self._levels, found, params["cas"]
         )
 
-    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        self.refuse(sim=sim, fault_plan=fault_plan, recorder=recorder)
-        p = self.resolve_params(params)
-        return run_bfs(
-            config,
-            num_vertices=p["vertices"],
-            avg_degree=p["degree"],
-            num_threads=p["threads"],
-            use_cas=p["cas"],
-            root=p["root"],
-            seed=p["seed"],
-            max_cycles=p["max_cycles"],
+    def advance(self, found: List[int]) -> List[int]:
+        """Level the newly claimed vertices (first claim wins)."""
+        depth = self._waves + 1
+        frontier = []
+        for v in found:
+            if v not in self._levels:
+                self._levels[v] = depth
+                frontier.append(v)
+        return frontier
+
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> BFSStats:
+        ref = reference_bfs_levels(params["vertices"], self._edges, params["root"])
+        verified = all(
+            int.from_bytes(sim.mem_read(self._LEVEL_BASE + v * 16, 8), "little")
+            == lvl
+            for v, lvl in ref.items()
+        )
+        # Link FLIT counters are cumulative over the whole traversal.
+        flits = sum(
+            link.flits_in + link.flits_out for d in sim.devices for link in d.links
+        )
+        return BFSStats(
+            config_name=sim.config.describe(),
+            mode="cas" if params["cas"] else "baseline",
+            vertices=params["vertices"],
+            edges=len(self._edges),
+            levels=max(self._levels.values()),
+            # A fresh context (accepts_sim is False) starts at cycle 0.
+            cycles=sim.cycle,
+            requests=self._requests,
+            flits=flits,
+            verified=verified,
         )
 
     def cli_variants(self, threads: int) -> List[Dict[str, Any]]:
@@ -680,12 +793,14 @@ class BarrierWorkload(KernelAdapter):
         )
 
 
-class SSSPWorkload(KernelAdapter):
+class SSSPWorkload(FrontierWorkload):
     """Bellman-Ford-style SSSP: one engine wave per relaxation round."""
 
     name = "sssp"
     description = "single-source shortest paths (CMC07 amin64 vs rmw)"
-    accepts_sim = False
+
+    #: One 16-byte distance word per vertex.
+    _DIST_BASE = 1 << 20
 
     def default_params(self) -> Dict[str, Any]:
         return {
@@ -698,24 +813,64 @@ class SSSPWorkload(KernelAdapter):
             "max_cycles": 5_000_000,
         }
 
-    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        raise WorkloadError(
-            "workload 'sssp' is multi-phase (one engine per relaxation "
-            "round); drive it through run()"
+    def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
+        self._edges = weighted_graph(
+            params["vertices"], params["degree"], params["seed"]
         )
+        self._adj: Dict[int, List[Tuple[int, int]]] = {}
+        for u, v, w in self._edges:
+            self._adj.setdefault(u, []).append((v, w))
+            self._adj.setdefault(v, []).append((u, w))
+        if params["amin"]:
+            sim.load_cmc("repro.cmc_ops.amin64")
+        for v in range(params["vertices"]):
+            init = 0 if v == params["source"] else INFINITY
+            sim.mem_write(
+                self._DIST_BASE + v * 16, init.to_bytes(8, "little") + bytes(8)
+            )
+        self._frontier = {params["source"]}
 
-    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        self.refuse(sim=sim, fault_plan=fault_plan, recorder=recorder)
-        p = self.resolve_params(params)
-        return run_sssp(
-            config,
-            num_vertices=p["vertices"],
-            avg_degree=p["degree"],
-            num_threads=p["threads"],
-            use_amin=p["amin"],
-            source=p["source"],
-            seed=p["seed"],
-            max_cycles=p["max_cycles"],
+    def work(self, sim: HMCSim, params: Dict[str, Any]) -> List[Tuple[int, int]]:
+        """The round's ``(v, candidate)`` relaxations from the current
+        HMC distances, pre-reduced per target vertex so each vertex is
+        touched by exactly one thread per round ("owner computes") —
+        keeping the baseline read-modify-write mode race-free for a
+        fair correctness comparison."""
+        best: Dict[int, int] = {}
+        for u in self._frontier:
+            du = int.from_bytes(
+                sim.mem_read(self._DIST_BASE + u * 16, 8), "little"
+            )
+            for v, w in self._adj.get(u, ()):
+                cand = du + w
+                if cand < best.get(v, INFINITY):
+                    best[v] = cand
+        return sorted(best.items())
+
+    def worker(self, ctx, params, part, found) -> Program:
+        return _relax_worker(ctx, self._DIST_BASE, part, found, params["amin"])
+
+    def advance(self, found: List[int]) -> Set[int]:
+        """Every improved vertex relaxes its neighbours next round."""
+        return set(found)
+
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> SSSPStats:
+        ref = reference_sssp(params["vertices"], self._edges, params["source"])
+        verified = all(
+            int.from_bytes(sim.mem_read(self._DIST_BASE + v * 16, 8), "little")
+            == ref.get(v, INFINITY)
+            for v in range(params["vertices"])
+        )
+        return SSSPStats(
+            config_name=sim.config.describe(),
+            mode="amin" if params["amin"] else "baseline",
+            vertices=params["vertices"],
+            edges=len(self._edges),
+            rounds=self._waves,
+            # A fresh context (accepts_sim is False) starts at cycle 0.
+            cycles=sim.cycle,
+            requests=self._requests,
+            verified=verified,
         )
 
     def cli_variants(self, threads: int) -> List[Dict[str, Any]]:

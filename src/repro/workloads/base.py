@@ -11,10 +11,11 @@ execution-driven workloads swappable implementations of one API.
 :meth:`WorkloadFrontend.run` is the one driver: refuse unsupported
 inputs, build the context (:meth:`~WorkloadFrontend.make_sim`), set
 up device state (:meth:`~WorkloadFrontend.prepare`), run one engine
-(:meth:`~WorkloadFrontend.make_engine`) over
-:meth:`~WorkloadFrontend.build`'s programs, settle
-(:meth:`~WorkloadFrontend.finish`), and turn the engine result into
-the kernel's stats object (:meth:`~WorkloadFrontend.stats`).  A
+(:meth:`~WorkloadFrontend.make_engine`) per wave of
+:meth:`~WorkloadFrontend.waves`, placing each thread with
+:meth:`~WorkloadFrontend.placement`, settle
+(:meth:`~WorkloadFrontend.finish`), and turn the last engine result
+into the kernel's stats object (:meth:`~WorkloadFrontend.stats`).  A
 frontend declares:
 
 ``build(sim, params)``
@@ -24,6 +25,16 @@ frontend declares:
     simulation context is passed (rather than the bare config) so
     programs may close over per-run state — preloaded tables, golden
     values — that :meth:`prepare` set up.
+
+``waves(sim, params)``
+    A generator of program lists, one per engine wave, receiving each
+    wave's :class:`~repro.host.engine.EngineResult` through
+    ``.send()``.  Default: :meth:`build`, once; BFS and SSSP yield
+    once per frontier (possibly never).
+
+``placement(sim, params, tid)``
+    The ``(link, cub)`` of thread ``tid``.  Default: round-robin over
+    the links of cube 0; trace replay keeps the recorded placement.
 
 ``prepare(sim, params)``
     Initial device state: CMC modules to load, memory preloads.  Trace
@@ -50,12 +61,12 @@ enforces for pipeline seams, checked by the same structural lint.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import WorkloadError
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
-from repro.host.engine import HostEngine
+from repro.host.engine import EngineResult, HostEngine
 from repro.host.thread import Program, ThreadCtx
 
 __all__ = ["Footprint", "WorkloadFrontend", "WorkloadError"]
@@ -65,6 +76,9 @@ Footprint = Tuple[Tuple[int, int], ...]
 
 #: A thread-program factory, as the host engine consumes them.
 ProgramFactory = Callable[[ThreadCtx], Program]
+
+#: A run's engine waves: yields program lists, receives engine results.
+Waves = Generator[List[ProgramFactory], EngineResult, None]
 
 
 class WorkloadFrontend(ABC):
@@ -84,13 +98,13 @@ class WorkloadFrontend(ABC):
     ``supports_faults``
         Whether :meth:`run` accepts a fault plan.
     ``recordable``
-        Whether the single-engine run can be captured by the trace
-        recorder (multi-phase kernels that run several engines are
-        not).
+        Whether the run can be captured by the trace recorder (its
+        replay reconstructs state from the header, so multi-wave
+        kernels are not).
     ``accepts_sim``
         Whether :meth:`run` can execute on a caller-provided warm
         simulation context (``sim=``).  False for frontends that must
-        build their own context (multi-phase kernels, trace replay);
+        build their own context (multi-wave kernels, trace replay);
         the serve layer uses this to decide whether a session
         submission runs on the session's warm sim or a fresh one.
     """
@@ -132,6 +146,16 @@ class WorkloadFrontend(ABC):
     ) -> List[ProgramFactory]:
         """Thread-program factories for one engine run, in tid order."""
 
+    def waves(self, sim: HMCSim, params: Dict[str, Any]) -> Waves:
+        """The run's engine waves (default: :meth:`build`, once)."""
+        yield self.build(sim, params)
+
+    def placement(
+        self, sim: HMCSim, params: Dict[str, Any], tid: int
+    ) -> Tuple[int, int]:
+        """``(link, cub)`` for thread ``tid``: round-robin on cube 0."""
+        return tid % sim.config.num_links, 0
+
     def footprint(self, config: HMCConfig, params: Dict[str, Any]) -> Footprint:
         """Address regions the workload touches (may be empty)."""
         return ()
@@ -140,7 +164,8 @@ class WorkloadFrontend(ABC):
         """Post-engine settling (e.g. draining posted traffic)."""
 
     def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> Any:
-        """The run's stats object (default: the bare engine result)."""
+        """The run's stats object from the last wave's engine result
+        (``None`` after zero waves); default: the bare result."""
         return result
 
     # -- driving --------------------------------------------------------------
@@ -150,7 +175,7 @@ class WorkloadFrontend(ABC):
         return HMCSim(config)
 
     def make_engine(self, sim: HMCSim, params: Dict[str, Any]) -> Any:
-        """The engine that drives :meth:`build`'s programs."""
+        """The engine that drives one wave's programs."""
         return HostEngine(sim, max_cycles=int(params.get("max_cycles", 1_000_000)))
 
     def refuse(
@@ -194,10 +219,20 @@ class WorkloadFrontend(ABC):
             sim.attach_faults(fault_plan)
         self.prepare(sim, resolved)
         engine = self.make_engine(sim, resolved)
-        if recorder is not None:
-            engine.recorder = recorder
-        for factory in self.build(sim, resolved):
-            engine.add_thread(factory)
-        result = engine.run()
+        waves = self.waves(sim, resolved)
+        programs = next(waves, None)
+        result = None
+        while programs is not None:
+            if recorder is not None:
+                engine.recorder = recorder
+            for tid, factory in enumerate(programs):
+                link, cub = self.placement(sim, resolved, tid)
+                engine.add_thread(factory, link=link, cub=cub)
+            result = engine.run()
+            try:
+                programs = waves.send(result)
+            except StopIteration:
+                break
+            engine = self.make_engine(sim, resolved)
         self.finish(sim, resolved)
         return self.stats(sim, resolved, result)

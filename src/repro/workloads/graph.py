@@ -4,7 +4,10 @@ Multi-phase scenarios used to be bespoke thread state machines; here
 they are declared as a :class:`TaskGraph` — named tasks, each a
 request-emitting generator body, with explicit ``after`` edges — and
 executed by mapping tasks onto :class:`~repro.host.thread.SimThread`\\ s
-(the build-graph-then-execute shape of PTO-style task runtimes).
+(the build-graph-then-execute shape of PTO-style task runtimes).  A
+scenario is a :class:`GraphWorkload`: its ``build`` compiles the graph
+into thread programs, and the generic
+:meth:`~repro.workloads.base.WorkloadFrontend.run` drives them.
 
 Dependency gating happens *in simulated memory*: the runtime reserves
 one 16-byte completion flag per task in a flags arena; a task's thread
@@ -32,6 +35,7 @@ Three built-in scenarios (registered as ``graph:counter``,
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -39,7 +43,7 @@ from repro.errors import WorkloadError
 from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
-from repro.host.engine import EngineResult, HostEngine
+from repro.host.engine import EngineResult
 from repro.host.thread import Program, ThreadCtx
 from repro.workloads.base import Footprint, ProgramFactory, WorkloadFrontend
 
@@ -47,7 +51,7 @@ __all__ = [
     "TaskNode",
     "TaskGraph",
     "GraphStats",
-    "run_task_graph",
+    "GraphWorkload",
     "CounterGraphWorkload",
     "PipelineGraphWorkload",
     "KVStoreGraphWorkload",
@@ -102,9 +106,6 @@ class TaskGraph:
             return body
 
         return wrap
-
-    def nodes(self) -> List[TaskNode]:
-        return list(self._nodes.values())
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -176,7 +177,7 @@ def build_graph_programs(
     graph: TaskGraph,
     *,
     flags_base: int,
-    schedule: Optional[Dict[str, Tuple[int, int]]] = None,
+    schedule: Dict[str, Tuple[int, int]],
 ) -> List[ProgramFactory]:
     """Compile ``graph`` into per-thread programs.
 
@@ -184,114 +185,83 @@ def build_graph_programs(
     in topological order; unassigned tasks get their own thread.  A
     task spin-reads the completion flag of every predecessor that runs
     on a *different* thread, runs its body, then publishes its own flag
-    with a non-posted write.
+    with a non-posted write.  Each task's ``(start, done)`` cycles are
+    recorded in ``schedule``.
     """
     order = graph.topo_order()
     flag_of = {node.name: flags_base + i * _FLAG_STRIDE for i, node in enumerate(order)}
 
-    # Group into per-thread task lists (topological order within each).
-    groups: Dict[Any, List[TaskNode]] = {}
-    next_auto = 0
+    # Per-thread task lists, topological order within each; threads in
+    # a deterministic order: named threads by id, then one per
+    # unassigned task in topological order.
+    named: Dict[int, List[TaskNode]] = {}
+    auto: List[List[TaskNode]] = []
     for node in order:
-        key: Any
         if node.thread is None:
-            key = ("auto", next_auto)
-            next_auto += 1
+            auto.append([node])
         else:
-            key = ("named", node.thread)
-        groups.setdefault(key, []).append(node)
-    # Deterministic thread order: named threads by id, then auto tasks
-    # in topological order.
-    ordered_keys = sorted(
-        groups, key=lambda k: (0, k[1]) if k[0] == "named" else (1, k[1])
-    )
+            named.setdefault(node.thread, []).append(node)
+    groups = [named[t] for t in sorted(named)] + auto
+    thread_of = {node.name: i for i, nodes in enumerate(groups) for node in nodes}
 
-    thread_of = {
-        node.name: key for key, nodes in groups.items() for node in nodes
-    }
-
-    def make_program(my_nodes: List[TaskNode], my_key: Any) -> ProgramFactory:
+    def make_program(my_nodes: List[TaskNode], me: int) -> ProgramFactory:
         def factory(ctx: ThreadCtx) -> Program:
             def program() -> Program:
                 for node in my_nodes:
                     for dep in node.after:
-                        if thread_of[dep] == my_key:
+                        if thread_of[dep] == me:
                             continue  # same thread: ordered by construction
                         yield from _flag_spin(ctx, flag_of[dep])
-                    if schedule is not None:
-                        start = ctx.sim.cycle
+                    start = ctx.sim.cycle
                     yield from node.body(ctx)
                     yield ctx.write(
                         flag_of[node.name],
                         _DONE.to_bytes(8, "little") + bytes(8),
                     )
-                    if schedule is not None:
-                        schedule[node.name] = (start, ctx.sim.cycle)
+                    schedule[node.name] = (start, ctx.sim.cycle)
 
             return program()
 
         return factory
 
-    return [make_program(groups[key], key) for key in ordered_keys]
-
-
-def run_task_graph(
-    sim: HMCSim,
-    graph: TaskGraph,
-    *,
-    flags_base: int,
-    max_cycles: int = 2_000_000,
-) -> Tuple[EngineResult, Dict[str, Tuple[int, int]]]:
-    """Execute ``graph`` on ``sim``; returns the engine result and the
-    per-task ``(start, done)`` cycle schedule."""
-    if len(graph) == 0:
-        raise WorkloadError("task graph is empty")
-    schedule: Dict[str, Tuple[int, int]] = {}
-    engine = HostEngine(sim, max_cycles=max_cycles)
-    for factory in build_graph_programs(
-        graph, flags_base=flags_base, schedule=schedule
-    ):
-        engine.add_thread(factory)
-    result = engine.run()
-    return result, schedule
+    return [make_program(nodes, i) for i, nodes in enumerate(groups)]
 
 
 class GraphWorkload(WorkloadFrontend):
-    """Shared driver for graph scenarios: build graph, run, verify."""
+    """A task-graph scenario: ``build`` compiles the scenario's graph,
+    ``stats`` records the schedule and verifies the answer."""
 
     kind = "graph"
 
+    @abstractmethod
     def build_graph(self, sim: HMCSim, params: Dict[str, Any]) -> TaskGraph:
-        raise NotImplementedError
+        """The scenario's task graph (programs may close over ``self``
+        to report what they observed)."""
 
+    @abstractmethod
     def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> bool:
         """Check the scenario's answer in simulated memory."""
-        raise NotImplementedError
 
     def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
+        graph = self.build_graph(sim, params)
+        if len(graph) == 0:
+            raise WorkloadError("task graph is empty")
+        self._tasks = len(graph)
+        self._schedule: Dict[str, Tuple[int, int]] = {}
         return build_graph_programs(
-            self.build_graph(sim, params), flags_base=params["flags_base"]
+            graph, flags_base=params["flags_base"], schedule=self._schedule
         )
 
-    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        self.refuse(sim=sim, fault_plan=fault_plan, recorder=recorder)
-        p = self.resolve_params(params)
-        if sim is None:
-            sim = HMCSim(config)
-        self.prepare(sim, p)
-        graph = self.build_graph(sim, p)
-        result, schedule = run_task_graph(
-            sim, graph, flags_base=p["flags_base"], max_cycles=p["max_cycles"]
-        )
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> GraphStats:
         stats = GraphStats(
-            config_name=config.describe(),
+            config_name=sim.config.describe(),
             scenario=self.name,
-            tasks=len(graph),
+            tasks=self._tasks,
             threads=len(result.threads),
             engine=result,
-            schedule=schedule,
+            schedule=self._schedule,
         )
-        stats.verified = self.verify(sim, p, stats)
+        stats.verified = self.verify(sim, params, stats)
         return stats
 
 

@@ -12,13 +12,16 @@ active-set engine or the numpy flight table).  ``repro trace replay``
 checks that contract against the ``baseline`` block recorded in the
 trace header.
 
-Two replay modes:
+Two replay modes, both behind the ``trace`` workload frontend
+(``WORKLOADS.get("trace").run(config, {"path": ...})``):
 
-``replay_trace`` (closed-loop)
-    One replay thread per recorded thread, yielding the recorded
-    packets in order; full semantic re-execution.
+closed-loop (``mode="closed"``, the default)
+    One replay thread per recorded thread, on its recorded link and
+    cube, yielding the recorded packets in order; full semantic
+    re-execution, driven by the generic
+    :meth:`~repro.workloads.base.WorkloadFrontend.run`.
 
-``replay_open_loop``
+:func:`replay_open_loop` (``mode="open"``)
     The recorded stream as *traffic*: requests injected at a fixed
     offered rate through :func:`repro.host.openloop.drive_open_loop`,
     ignoring response dependencies.  The right tool for converted
@@ -43,7 +46,6 @@ __all__ = [
     "TraceRecorder",
     "ReplayStats",
     "record_workload",
-    "replay_trace",
     "replay_open_loop",
     "TraceReplayWorkload",
 ]
@@ -227,43 +229,6 @@ class ReplayStats:
         return out
 
 
-def replay_trace(
-    trace: WorkloadTrace,
-    *,
-    config: Optional[HMCConfig] = None,
-    max_cycles: int = 1_000_000,
-) -> ReplayStats:
-    """Closed-loop replay: per-thread recorded streams, fresh engine."""
-    from repro.host.engine import HostEngine
-
-    if not trace.requests:
-        raise WorkloadError("trace has no requests to replay")
-    if not trace.threads:
-        raise WorkloadError(
-            "trace has no thread structure (a converted Tracer trace?) "
-            "— use open-loop replay"
-        )
-    cfg = _resolve_config(trace, config)
-    sim = HMCSim(cfg)
-    _prepare_replay_sim(trace, sim)
-    engine = HostEngine(sim, max_cycles=max_cycles)
-    by_thread = trace.by_thread()
-    for info in trace.threads:
-        records = by_thread.get(info.tid, [])
-        engine.add_thread(
-            lambda ctx, records=records: _replay_program(ctx, records),
-            link=info.link,
-            cub=info.cub,
-        )
-    result = engine.run()
-    return ReplayStats(
-        config_name=cfg.describe(),
-        workload=trace.workload,
-        result=result,
-        baseline=dict(trace.baseline_cycles),
-    )
-
-
 def _replay_warmup(cfg: HMCConfig) -> int:
     """Pipeline warm-up slack for the open-loop duration estimate.
 
@@ -287,7 +252,6 @@ def replay_open_loop(
     *,
     config: Optional[HMCConfig] = None,
     rate: float = 4.0,
-    max_drain: int = 100_000,
     depth: Optional[int] = None,
 ) -> OpenLoopStats:
     """Open-loop replay: the recorded stream as rate-driven traffic.
@@ -331,10 +295,6 @@ def replay_open_loop(
         pattern="trace",
         offered_rate=rate,
         duration=duration,
-        injected=0,
-        completed=0,
-        backlogged=0,
-        drain_cycles=0,
     )
     return drive_open_loop(
         sim,
@@ -343,7 +303,6 @@ def replay_open_loop(
         build,
         offered_rate=rate,
         duration=duration,
-        max_drain=max_drain,
         link_for=link_for,
         depth=depth,
     )
@@ -355,7 +314,8 @@ class TraceReplayWorkload(WorkloadFrontend):
     Params: ``path`` (a workload-trace JSONL file) or ``trace`` (an
     in-memory :class:`WorkloadTrace`), ``mode`` (``closed``/``open``),
     ``rate`` (open-loop offered rate), ``depth`` (open-loop in-flight
-    target; overrides ``rate`` gating), ``max_cycles``.
+    target; overrides ``rate`` gating), ``max_cycles``.  With no
+    ``config`` the trace header names the configuration.
     """
 
     name = "trace"
@@ -373,24 +333,24 @@ class TraceReplayWorkload(WorkloadFrontend):
             "max_cycles": 1_000_000,
         }
 
-    def _trace(self, params: Dict[str, Any]) -> WorkloadTrace:
-        if params["trace"] is not None:
-            return params["trace"]
-        if params["path"] is None:
-            raise WorkloadError(
-                "trace replay needs a 'path' (or in-memory 'trace') param"
-            )
-        return WorkloadTrace.load(params["path"])
-
-    def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
-        _prepare_replay_sim(self._trace(params), sim)
-
-    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        trace = self._trace(params)
+    def make_sim(self, config: Optional[HMCConfig], params: Dict[str, Any]) -> HMCSim:
+        """A context for the trace's configuration; refuses traces the
+        closed loop cannot replay."""
+        trace = params["trace"]
+        if not trace.requests:
+            raise WorkloadError("trace has no requests to replay")
         if not trace.threads:
             raise WorkloadError(
-                "trace has no thread structure — use open-loop replay"
+                "trace has no thread structure (a converted Tracer trace?) "
+                "— use open-loop replay"
             )
+        return HMCSim(_resolve_config(trace, config))
+
+    def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
+        _prepare_replay_sim(params["trace"], sim)
+
+    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
+        trace = params["trace"]
         by_thread = trace.by_thread()
         return [
             lambda ctx, records=by_thread.get(info.tid, []): _replay_program(
@@ -399,12 +359,35 @@ class TraceReplayWorkload(WorkloadFrontend):
             for info in trace.threads
         ]
 
+    def placement(
+        self, sim: HMCSim, params: Dict[str, Any], tid: int
+    ) -> Tuple[int, int]:
+        """The recorded thread's own link and cube."""
+        info = params["trace"].threads[tid]
+        return info.link, info.cub
+
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> ReplayStats:
+        trace = params["trace"]
+        return ReplayStats(
+            config_name=sim.config.describe(),
+            workload=trace.workload,
+            result=result,
+            baseline=dict(trace.baseline_cycles),
+        )
+
     def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
+        """Load the trace once; closed mode runs the generic driver,
+        open mode the rate- or depth-gated injector."""
         self.refuse(sim=sim, fault_plan=fault_plan, recorder=recorder)
         p = self.resolve_params(params)
-        trace = self._trace(p)
+        if p["trace"] is None:
+            if p["path"] is None:
+                raise WorkloadError(
+                    "trace replay needs a 'path' (or in-memory 'trace') param"
+                )
+            p["trace"] = WorkloadTrace.load(p["path"])
         if p["mode"] == "open":
             return replay_open_loop(
-                trace, config=config, rate=p["rate"], depth=p["depth"]
+                p["trace"], config=config, rate=p["rate"], depth=p["depth"]
             )
-        return replay_trace(trace, config=config, max_cycles=p["max_cycles"])
+        return super().run(config, p)

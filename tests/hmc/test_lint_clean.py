@@ -156,7 +156,8 @@ def test_kernels_build_no_sim_or_engine() -> None:
 
 
 def test_kernel_driver_check_flags_planted_violations(tmp_path: Path) -> None:
-    """Bare and dotted constructor calls are caught; bfs/sssp are exempt."""
+    """Bare and dotted constructor calls are caught, in every kernel
+    module: bfs and sssp run their waves through the generic driver."""
     lint = _load_lint()
     (tmp_path / "rogue.py").write_text(
         "from repro.hmc.sim import HMCSim\n"
@@ -169,10 +170,42 @@ def test_kernel_driver_check_flags_planted_violations(tmp_path: Path) -> None:
     )
     (tmp_path / "bfs.py").write_text("sim = HMCSim(config)\n")
     diags = lint.run_kernel_driver_check(tmp_path)
-    assert len(diags) == 3, "\n".join(diags)
-    assert all("rogue.py" in d for d in diags)
+    assert len(diags) == 4, "\n".join(diags)
+    assert sum("rogue.py" in d for d in diags) == 3
+    assert any("bfs.py" in d and " HMCSim " in d for d in diags)
     assert {"HMCSim", "HostEngine", "WindowedEngine"} == {
         name for d in diags for name in lint.DRIVER_CLASSES if f" {name} " in d
+    }
+
+
+def test_engines_are_built_only_by_the_workload_driver() -> None:
+    lint = _load_lint()
+    diags = lint.run_engine_driver_check()
+    assert diags == [], "\n".join(diags)
+
+
+def test_engine_driver_check_flags_planted_violations(tmp_path: Path) -> None:
+    """An engine built anywhere but the driver and the kernel frontends
+    is flagged; those two modules and a bare ``HMCSim`` are not."""
+    lint = _load_lint()
+    (tmp_path / "workloads").mkdir()
+    driver = tmp_path / "workloads" / "base.py"
+    frontends = tmp_path / "workloads" / "adapters.py"
+    rogue = tmp_path / "workloads" / "graph.py"
+    for path in (driver, frontends, rogue):
+        path.write_text(
+            "from repro.host.engine import HostEngine\n"
+            "from repro.host import window\n"
+            "def run(sim):\n"
+            "    HostEngine(sim).run()\n"
+            "    return window.WindowedEngine(sim, window=2)\n"
+        )
+    (tmp_path / "sim_only.py").write_text("sim = HMCSim(config)\n")
+    diags = lint.run_engine_driver_check(tmp_path, allowed=(driver, frontends))
+    assert len(diags) == 2, "\n".join(diags)
+    assert all("graph.py" in d for d in diags)
+    assert {"HostEngine", "WindowedEngine"} == {
+        name for d in diags for name in lint.ENGINE_CLASSES if f" {name} " in d
     }
 
 

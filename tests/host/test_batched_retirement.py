@@ -1,25 +1,37 @@
 """Batched host-side retirement: bit-identical to one-at-a-time.
 
-``HostEngine(batched=True)`` drains each link's whole retire buffer
-with one ``recv_batch`` call per cycle; ``batched=False`` keeps the
-original one-``recv``-per-response loop.  The two must agree not just
-on results but on *per-thread completion cycles* — responses only
-appear during ``sim.clock``, so nothing can land in a retire buffer
-mid-drain and the batch is exactly the set the serial loop would have
-popped.  These tests pin that equivalence on both datapaths, at depths
-where every link's buffer actually holds multiple responses per cycle,
-and check that a mid-run fault attachment (which spills the vector
-engine to the scalar path) preserves it too.
+``HostEngine`` drains each link's whole retire buffer with one
+``recv_batch`` call per cycle.  It must agree with the original
+one-``recv``-per-response loop not just on results but on *per-thread
+completion cycles* — responses only appear during ``sim.clock``, so
+nothing can land in a retire buffer mid-drain and the batch is exactly
+the set the serial loop would have popped.
+
+The serial loop is gone from the engine; ``golden_serial_retirement.json``
+holds the ``(tid, cycles, requests, responses)`` profiles it produced
+for the workloads below, and these tests pin the batched path to them
+on both datapaths, at depths where every link's buffer actually holds
+multiple responses per cycle, and with duplicated responses.  A
+mid-run fault attachment (which spills the vector engine to the scalar
+path) must preserve completion too.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
+from repro.faults.watchdog import TagWatchdog
 from repro.hmc.sim import HMCSim
 from repro.host.engine import HostEngine
 from repro.host.thread import ThreadCtx
+
+SERIAL = json.loads(
+    Path(__file__).with_name("golden_serial_retirement.json").read_text()
+)
 
 XBARS = ["queued"]
 try:
@@ -49,31 +61,34 @@ def mixed_program(ctx: ThreadCtx, ops: int = 6):
             )
 
 
-def _completion_profile(xbar: str, batched: bool, faults=None):
-    """Per-thread (cycles, requests, responses) plus total cycles."""
-    sim = HMCSim(HMCConfig.cfg_4link_4gb(xbar=xbar), faults=faults)
-    engine = HostEngine(sim, batched=batched)
+def _profile(result):
+    """Per-thread (tid, cycles, requests, responses) and run totals, in
+    the golden's layout."""
+    return {
+        "threads": [
+            [t.tid, t.cycles, t.requests, t.responses] for t in result.threads
+        ],
+        "total_cycles": result.total_cycles,
+        "duplicate_rsps": result.duplicate_rsps,
+    }
+
+
+def _completion_profile(xbar: str):
+    sim = HMCSim(HMCConfig.cfg_4link_4gb(xbar=xbar))
+    engine = HostEngine(sim)
     engine.add_threads(24, mixed_program)
-    result = engine.run()
-    profile = [(t.tid, t.cycles, t.requests, t.responses) for t in result.threads]
-    return profile, result.total_cycles, sim
+    return _profile(engine.run())
 
 
 @pytest.mark.parametrize("xbar", XBARS)
 def test_batched_matches_serial_per_thread(xbar):
-    serial, serial_total, _ = _completion_profile(xbar, batched=False)
-    batched, batched_total, _ = _completion_profile(xbar, batched=True)
-    assert batched == serial
-    assert batched_total == serial_total
+    assert _completion_profile(xbar) == SERIAL[xbar]
 
 
 def test_datapaths_agree_on_completion_cycles():
     if "vector" not in XBARS:
         pytest.skip("numpy not installed")
-    scalar, scalar_total, _ = _completion_profile("queued", batched=True)
-    vector, vector_total, _ = _completion_profile("vector", batched=True)
-    assert vector == scalar
-    assert vector_total == scalar_total
+    assert _completion_profile("vector") == _completion_profile("queued")
 
 
 def test_duplicated_responses_match_serial_interleaving():
@@ -87,43 +102,27 @@ def test_duplicated_responses_match_serial_interleaving():
     This is the exact interleaving that raised ``TagError`` before
     the per-response discard landed.
     """
-    from repro.faults.watchdog import TagWatchdog
-
-    def profile(batched):
-        plan = FaultPlan(
-            specs=(FaultSpec.parse("xbar_dup=0.05"),), seed=0x0C4A05
-        )
-        sim = HMCSim(HMCConfig.cfg_4link_4gb(), faults=plan)
-        engine = HostEngine(
-            sim, batched=batched, watchdog=TagWatchdog(timeout=128)
-        )
-        engine.add_threads(16, lambda ctx: mixed_program(ctx, ops=6))
-        result = engine.run()
-        return (
-            [(t.tid, t.cycles, t.responses) for t in result.threads],
-            result.duplicate_rsps,
-            result.total_cycles,
-        )
-
-    serial = profile(False)
-    batched = profile(True)
-    assert serial[1] > 0, "seed produced no duplicates; test pins nothing"
-    assert batched == serial
+    plan = FaultPlan(specs=(FaultSpec.parse("xbar_dup=0.05"),), seed=0x0C4A05)
+    sim = HMCSim(HMCConfig.cfg_4link_4gb(), faults=plan)
+    engine = HostEngine(sim, watchdog=TagWatchdog(timeout=128))
+    engine.add_threads(16, lambda ctx: mixed_program(ctx, ops=6))
+    batched = _profile(engine.run())
+    assert SERIAL["xbar_dup"]["duplicate_rsps"] > 0, "golden pins nothing"
+    assert batched == SERIAL["xbar_dup"]
 
 
-@pytest.mark.parametrize("batched", [False, True])
-def test_fault_spill_under_deep_queue(batched):
+def test_fault_spill_under_deep_queue():
     """Mid-run fault attach: vector engine spills, run still completes.
 
     The engine starts columnar (no faults at construction), a fault
     plan lands while dozens of requests are in flight, the dynamic
     gate flips and the flight table spills to scratch flights — and
-    both retirement modes still deliver every response exactly once.
+    every response is still delivered exactly once.
     """
     if "vector" not in XBARS:
         pytest.skip("numpy not installed")
     sim = HMCSim(HMCConfig.cfg_4link_4gb(xbar="vector"))
-    engine = HostEngine(sim, batched=batched)
+    engine = HostEngine(sim)
     engine.add_threads(32, lambda ctx: mixed_program(ctx, ops=8))
 
     xbar = sim.devices[0].xbar
@@ -152,7 +151,7 @@ def test_fault_spill_under_deep_queue(batched):
     # The spilled run computes the same memory state as a clean scalar
     # run of the same workload.
     ref = HMCSim(HMCConfig.cfg_4link_4gb(xbar="queued"))
-    ref_engine = HostEngine(ref, batched=batched)
+    ref_engine = HostEngine(ref)
     ref_engine.add_threads(32, lambda ctx: mixed_program(ctx, ops=8))
     ref_engine.run()
     for tid in range(32):

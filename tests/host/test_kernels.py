@@ -3,11 +3,7 @@
 import pytest
 
 from repro.hmc.config import HMCConfig
-from repro.host.kernels.bfs import (
-    reference_bfs_levels,
-    run_bfs,
-    synthetic_graph,
-)
+from repro.host.kernels.bfs import reference_bfs_levels, synthetic_graph
 from repro.host.kernels.gups import hpcc_random_stream
 from repro.workloads.registry import WORKLOADS
 
@@ -94,23 +90,18 @@ class TestBFS:
         assert levels == {0: 1, 1: 2, 3: 2, 2: 3}
 
     def test_cas_mode_matches_reference(self, cfg):
-        s = run_bfs(cfg, num_vertices=96, avg_degree=3, use_cas=True)
+        s = run("bfs", cfg, vertices=96, degree=3, cas=True)
         assert s.verified
 
     def test_baseline_mode_matches_reference(self, cfg):
-        s = run_bfs(cfg, num_vertices=96, avg_degree=3, use_cas=False)
+        s = run("bfs", cfg, vertices=96, degree=3, cas=False)
         assert s.verified
 
     def test_cas_reduces_requests(self, cfg):
-        c = run_bfs(cfg, num_vertices=96, avg_degree=3, use_cas=True)
-        b = run_bfs(cfg, num_vertices=96, avg_degree=3, use_cas=False)
+        c = run("bfs", cfg, vertices=96, degree=3, cas=True)
+        b = run("bfs", cfg, vertices=96, degree=3, cas=False)
         assert c.requests < b.requests
         assert c.flits < b.flits
-
-    def test_networkx_graph_if_available(self, cfg):
-        pytest.importorskip("networkx")
-        s = run_bfs(cfg, num_vertices=64, avg_degree=4, use_cas=True, use_networkx=True)
-        assert s.verified
 
 
 class TestHistogram:

@@ -2,9 +2,18 @@
 
 import pytest
 
+from repro.errors import SimDeadlockError
+from repro.faults.plan import FaultPlan
+from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
+from repro.hmc.sim import HMCSim
 from repro.host.kernels.pointer_chase import build_chain
-from repro.host.openloop import run_open_loop
+from repro.host.openloop import (
+    MAX_DRAIN,
+    OpenLoopStats,
+    drive_open_loop,
+    run_open_loop,
+)
 from repro.workloads.registry import WORKLOADS
 
 
@@ -19,6 +28,33 @@ def cfg():
 
 
 class TestOpenLoop:
+    @pytest.mark.parametrize("depth", [None, 4])
+    def test_lost_responses_raise_deadlock(self, cfg, depth):
+        # Every response dropped: the drain bound must not expire
+        # silently, returning completed=0 as if the run had finished.
+        sim = HMCSim(cfg, faults=FaultPlan.parse(["xbar_drop=1.0"], seed=1))
+        stats = OpenLoopStats(
+            config_name=cfg.describe(), pattern="lost", offered_rate=1.0,
+            duration=8, injected=0, completed=0, backlogged=0, drain_cycles=0,
+        )
+        with pytest.raises(SimDeadlockError, match="did not drain") as exc:
+            drive_open_loop(
+                sim,
+                stats,
+                8,
+                lambda idx, tag: sim.build_memrequest(hmc_rqst_t.RD16, idx * 64, tag),
+                offered_rate=1.0,
+                duration=8,
+                depth=depth,
+            )
+        # Depth gating stops topping up once ``depth`` are in flight.
+        lost = 8 if depth is None else depth
+        assert stats.injected == lost and stats.completed == 0
+        assert sim.cycle >= MAX_DRAIN
+        rendered = str(exc.value.dump)
+        assert f"in-flight tags ({lost})" in rendered
+        assert f"rsp_drop={lost}" in rendered
+
     def test_low_load_all_completes(self, cfg):
         s = run_open_loop(cfg, offered_rate=1.0, duration=128)
         assert s.injected == s.completed

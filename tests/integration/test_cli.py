@@ -53,6 +53,33 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "usage:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["openloop", "--depth", "0"],
+            ["openloop", "--rate", "-1"],
+            ["openloop", "--rate", "0"],
+            ["openloop", "--rate", "nan"],
+            ["openloop", "--rate", "inf"],
+            ["openloop", "--duration", "-5"],
+            ["chase", "--length", "0"],
+            ["chase", "--length", "-3"],
+            ["trace", "replay", "t.jsonl", "--mode", "open", "--depth", "0"],
+            ["trace", "replay", "t.jsonl", "--mode", "open", "--rate", "0"],
+        ],
+    )
+    def test_bad_numeric_input_is_a_usage_error(self, argv, capsys):
+        # Past the parser, each of these raises (ValueError,
+        # ZeroDivisionError, IndexError, OverflowError) or reports an
+        # impossible run.
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as exc:
+            main(argv, out=out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
+        assert out.getvalue() == ""
+
     def test_fault_with_oracle_sample_rejected(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(

@@ -269,6 +269,40 @@ class TestValidation:
         with pytest.raises(ServeError):
             session.accept("raw", {"requests": [{"cmd": "RD64"}]})
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"data": "zz"},
+            {"data": 12},
+            {"link": "x"},
+            {"link": 4},
+            {"link": -1},
+            {"link": True},
+            {"cub": 5},
+            {"cub": -1},
+        ],
+        ids=lambda f: "-".join(f"{k}={v!r}" for k, v in f.items()),
+    )
+    def test_raw_doomed_request_field(self, tmp_path, field):
+        # Rejected at accept: journaled, each would fail at execution
+        # with a Python error (data, link) or address a missing cube.
+        session = make_session(tmp_path)
+        rq = dict({"cmd": "RD16", "addr": 0x40}, **field)
+        with pytest.raises(ServeError) as exc:
+            session.accept("raw", {"requests": [rq]})
+        assert exc.value.code == "bad_request"
+        assert session.submissions == []
+        assert journal(session) == []
+
+    @pytest.mark.parametrize("max_cycles", [-1, 0, "100", 2.5, None])
+    def test_raw_max_cycles_must_be_positive(self, tmp_path, max_cycles):
+        session = make_session(tmp_path)
+        spec = {"requests": [{"cmd": "RD16", "addr": 0}], "max_cycles": max_cycles}
+        with pytest.raises(ServeError) as exc:
+            session.accept("raw", spec)
+        assert exc.value.code == "bad_request"
+        assert journal(session) == []
+
     def test_sweep_bad_threads(self, tmp_path):
         session = make_session(tmp_path)
         with pytest.raises(ServeError):
@@ -291,8 +325,9 @@ class TestKinds:
             {
                 "requests": [
                     {"cmd": "WR64", "addr": 0x1000, "data": "ab" * 64},
-                    {"cmd": "RD64", "addr": 0x1000},
-                ]
+                    {"cmd": "RD64", "addr": 0x1000, "link": 3, "cub": 0},
+                ],
+                "max_cycles": 64,
             },
         )
         rec = session.execute_next()

@@ -12,8 +12,11 @@ reduced (tier-1 sized) parameters.  ``VARIANTS`` holds the runs that
 exercise each per-kernel hook of the frontend driver: the mutex
 fault-plan and oracle paths, the windowed stream engine, the posted
 drain and rmw verification of the histogram, rmw GUPS, the timed
-scattered chase, the non-offloaded graph kernels, and runs on a
-caller-provided warm simulation context.
+scattered chase, the non-offloaded graph kernels, bfs and sssp runs
+with zero waves, runs on a caller-provided warm simulation context,
+the three task-graph scenarios (schedule included), and closed-loop
+replay of one recording on its own configuration and on one with
+twice the links (which pins the recorded thread placement).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.faults.plan import FaultPlan
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
 from repro.workloads.registry import WORKLOADS
+from repro.workloads.replay import record_workload
 
 #: Reduced parameters per kernel (the defaults are CLI-sized).
 PARAMS = {
@@ -83,6 +87,28 @@ def _load_fadd(sim: HMCSim) -> None:
     sim.load_cmc("repro.cmc_ops.fadd64")
 
 
+def _graph(name: str) -> Callable[[], Any]:
+    return lambda: run(name, HMCConfig.cfg_4link_4gb(), {})
+
+
+def _replay(cfg_name: str) -> Callable[[], Any]:
+    """Closed-loop replay of an 8-thread mutex recording made on 4link.
+
+    The recorded links are ``tid % 4``, so the 8link replay differs
+    from a round-robin placement.  The replay stats are a plain class:
+    the point pins every attribute.
+    """
+
+    def point() -> Any:
+        _, trace = record_workload(
+            "mutex", HMCConfig.cfg_4link_4gb(), {"threads": 8}
+        )
+        stats = run("trace", getattr(HMCConfig, cfg_name)(), {"trace": trace})
+        return vars(stats)
+
+    return point
+
+
 BASE: Dict[str, Callable[[], Any]] = {
     f"{name}-{cfg_name}": _base(name, cfg_name)
     for name in sorted(PARAMS)
@@ -99,8 +125,15 @@ VARIANTS: Dict[str, Callable[[], Any]] = {
     "chase-scatter-timing": _variant("chase", scatter=True, timing=True),
     "bfs-rmw": _variant("bfs", cas=False),
     "sssp-rmw": _variant("sssp", amin=False),
+    "bfs-zero-waves": _variant("bfs", vertices=1),
+    "sssp-zero-waves": _variant("sssp", vertices=1),
     "barrier-warm-sim": _warm("barrier", _load_fadd),
     "mutex-warm-sim": _warm("mutex", _load_mutex),
+    "graph-counter": _graph("graph:counter"),
+    "graph-pipeline": _graph("graph:pipeline"),
+    "graph-kvstore": _graph("graph:kvstore"),
+    "trace-closed-4link-on-4link": _replay("cfg_4link_4gb"),
+    "trace-closed-4link-on-8link": _replay("cfg_8link_8gb"),
 }
 
 POINTS: Dict[str, Callable[[], Any]] = {**BASE, **VARIANTS}

@@ -14,14 +14,35 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.hmc.config import HMCConfig
-from repro.hmc.sim import HMCSim
-from repro.workloads.graph import TaskGraph, run_task_graph
+from repro.workloads.graph import GraphWorkload, TaskGraph
 from repro.workloads.registry import WORKLOADS
 
 
 def _noop(ctx):
     return
     yield  # pragma: no cover — makes the body a generator
+
+
+class AdHocGraph(GraphWorkload):
+    """A one-off scenario running a caller-built graph."""
+
+    name = "graph:adhoc"
+
+    def __init__(self, graph: TaskGraph) -> None:
+        self.graph = graph
+
+    def default_params(self):
+        return {"flags_base": 1 << 20, "max_cycles": 2_000_000}
+
+    def build_graph(self, sim, params):
+        return self.graph
+
+    def verify(self, sim, params, result):
+        return True
+
+
+def run_graph(graph: TaskGraph):
+    return AdHocGraph(graph).run(HMCConfig.cfg_4link_4gb())
 
 
 class TestTopology:
@@ -60,9 +81,8 @@ class TestTopology:
             g.add("a", _noop)
 
     def test_empty_graph_is_rejected_by_the_runtime(self):
-        sim = HMCSim(HMCConfig.cfg_4link_4gb())
         with pytest.raises(WorkloadError, match="empty"):
-            run_task_graph(sim, TaskGraph(), flags_base=1 << 20)
+            run_graph(TaskGraph())
 
 
 class TestScenarios:
@@ -115,8 +135,6 @@ class TestRuntime:
     def test_named_threads_share_one_simthread(self):
         # Two tasks pinned to thread 0 plus one auto task: the engine
         # must see exactly two threads.
-        cfg = HMCConfig.cfg_4link_4gb()
-        sim = HMCSim(cfg)
         seen = []
 
         def touch(name):
@@ -131,14 +149,12 @@ class TestRuntime:
         g.add("first", touch("first"), thread=0)
         g.add("second", touch("second"), after=("first",), thread=0)
         g.add("other", touch("other"))
-        result, schedule = run_task_graph(sim, g, flags_base=1 << 20)
-        assert len(result.threads) == 2
+        stats = run_graph(g)
+        assert stats.threads == 2 and stats.tasks == 3
         assert dict(seen)["first"] == dict(seen)["second"]
-        assert set(schedule) == {"first", "second", "other"}
+        assert set(stats.schedule) == {"first", "second", "other"}
 
     def test_cross_thread_gating_orders_execution(self):
-        cfg = HMCConfig.cfg_4link_4gb()
-        sim = HMCSim(cfg)
         order = []
 
         def log(name):
@@ -152,5 +168,5 @@ class TestRuntime:
         g = TaskGraph()
         g.add("up", log("up"))
         g.add("down", log("down"), after=("up",))
-        run_task_graph(sim, g, flags_base=1 << 20)
+        run_graph(g)
         assert order == ["up", "down"]

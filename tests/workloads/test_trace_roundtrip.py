@@ -17,17 +17,18 @@ import pytest
 from repro.errors import WorkloadError
 from repro.hmc.config import HMCConfig
 from repro.workloads.registry import WORKLOADS
-from repro.workloads.replay import (
-    record_workload,
-    replay_open_loop,
-    replay_trace,
-)
+from repro.workloads.replay import record_workload, replay_open_loop
 from repro.workloads.tracefmt import (
     TRACE_FORMAT,
     TRACE_VERSION,
     TraceRecord,
     WorkloadTrace,
 )
+
+
+def replay_trace(trace, *, config=None):
+    """Closed-loop replay through the trace frontend."""
+    return WORKLOADS.get("trace").run(config, {"trace": trace})
 
 
 def _record(cfg_name="cfg_4link_4gb", name="mutex", threads=4):
