@@ -14,7 +14,8 @@ contract from the outside:
    byte-identical results.
 4. SIGKILL mid-stream: a tail submitted without waiting, the server
    killed with ``kill -9`` while it executes, a restarted server
-   finishes it with payloads byte-identical to an uninterrupted run.
+   finishes it with payloads byte-identical to an uninterrupted run,
+   leaving one checkpoint and no stray temp file in the session.
 
 Exit code 0 = every check passed.
 """
@@ -256,6 +257,10 @@ def main() -> int:
         f"{counts.get('done', 0)}/{len(KILL_TAIL)} finished, "
         f"{counts.get('fence', 0)} fences",
     )
+    # A kill between atomic_write's mkstemp and os.replace strands a
+    # temp file; plant one so the restart's reaping is exercised even
+    # when this kill landed elsewhere.
+    (state / "k1" / "ckpt-3.json.smoke.tmp").write_text('{"torn')
     proc = start_server(sock, state, max_requests=len(KILL_TAIL))
     with ServeClient(str(sock), timeout=300.0) as client:
         snap = wait_idle(client, "k1")
@@ -263,6 +268,13 @@ def main() -> int:
             "killed tail finished after restart",
             snap["resumed"] is True and snap["done"] == len(KILL_TAIL),
             str(snap),
+        )
+        leftovers = sorted(f.name for f in (state / "k1").iterdir())
+        check(
+            "no temp file and one checkpoint left after restart",
+            not any(n.endswith(".tmp") for n in leftovers)
+            and sum(n.startswith("ckpt-") for n in leftovers) == 1,
+            str(leftovers),
         )
         history = {
             m["submission"]: m["payload"]

@@ -18,8 +18,16 @@ state — reload them after restore), matching how the C simulator
 would reload shared libraries in a new process.
 
 The on-disk format is a versioned, self-describing pickle-free
-structure written with :mod:`json` + raw page blobs, so checkpoints
-remain inspectable and robust across library versions.  Version 2
+structure: base64 page extents in :mod:`json`, so checkpoints remain
+inspectable and robust across library versions.  Each resident page
+is stored as its nonzero extent — ``{"base": page_base + lo, "data":
+b64(page[lo:hi])}``, an all-zero page as empty data at its base — and
+restore writes each extent back, which also rematerializes the page.
+A save re-encodes only the pages whose bytes changed since the
+previous save of the same context: the last save's ``(page bytes,
+entry)`` pair is reused when the page compares byte-equal, so a fence
+costs O(pages changed) in encoding, and the file is byte-identical to
+the one a fresh context would write from the same state.  Version 2
 added the component-selection fields to the configuration fingerprint
 (a checkpoint taken under one pipeline composition must not restore
 into another) and the in-transit topology state.  Version 3 added the
@@ -44,7 +52,7 @@ import base64
 import heapq
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import HMCSimError
 from repro.faults.watchdog import ArmedTag, TagWatchdog
@@ -348,6 +356,29 @@ def _check_devices_quiesced(sim: HMCSim, action: str) -> None:
         )
 
 
+def _page_entries(sim: HMCSim) -> List[str]:
+    """The JSON text of every resident page's entry, in address order.
+
+    A page byte-equal to its copy from the previous save reuses that
+    save's entry (and bytes object); any other page is trimmed to its
+    nonzero extent and encoded afresh.  The cache is rebuilt from the
+    current resident set, so dropped pages leave it.
+    """
+    previous = sim._checkpoint_pages
+    cache: Dict[int, Tuple[bytes, str]] = {}
+    for base_addr, content in sim.backend.iter_resident():
+        cached = previous.get(base_addr)
+        if cached is None or cached[0] != content:
+            body = content.rstrip(b"\0")
+            extent = body.lstrip(b"\0")
+            data = base64.b64encode(extent).decode("ascii")
+            start = base_addr + len(body) - len(extent)
+            cached = (content, f'{{"base": {start}, "data": "{data}"}}')
+        cache[base_addr] = cached
+    sim._checkpoint_pages = cache
+    return [entry for _content, entry in cache.values()]
+
+
 def save_checkpoint(
     sim: HMCSim,
     path: Union[str, Path],
@@ -374,10 +405,7 @@ def save_checkpoint(
         HMCSimError: if any device holds packets in flight (drain first).
     """
     _check_devices_quiesced(sim, "checkpoint")
-    pages = [
-        {"base": base_addr, "data": base64.b64encode(content).decode("ascii")}
-        for base_addr, content in sim.backend.iter_resident()
-    ]
+    pages = _page_entries(sim)
     registers = [dev.registers.snapshot() for dev in sim.devices]
     # CMC operations: code is never serialized, but the *identity* of
     # each loaded plugin (its importable source) and its execution
@@ -396,7 +424,6 @@ def save_checkpoint(
             "send_stalls": sim.send_stalls,
             "recvd_rsps": sim.recvd_rsps,
         },
-        "pages": pages,
         "registers": registers,
         "topology": _encode_topology(sim),
         "outstanding": sorted(sim._outstanding),
@@ -407,7 +434,10 @@ def save_checkpoint(
     }
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write(p, json.dumps(doc))
+    # Base64 text needs no JSON escaping, so the page entries splice in
+    # verbatim as the document's last key.
+    head = json.dumps(doc)[:-1]
+    atomic_write(p, f'{head}, "pages": [{", ".join(pages)}]}}')
     return p
 
 

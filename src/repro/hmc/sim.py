@@ -136,6 +136,10 @@ class HMCSim:
         self._outstanding: Set[int] = set()
         #: cmd code -> expects-a-response, invalidated on CMC load.
         self._expects_cache: Dict[int, bool] = {}
+        #: page base -> (page bytes, encoded checkpoint entry) as of the
+        #: last save; rebuilt by every ``save_checkpoint`` call, which
+        #: only the context's owning thread makes.
+        self._checkpoint_pages: Dict[int, Tuple[bytes, str]] = {}
         self._initialized = True
         # Aggregate counters.
         self.sent_rqsts = 0

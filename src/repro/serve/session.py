@@ -299,6 +299,10 @@ class SimSession:
         for stale in session_dir.glob("ckpt-*.json"):
             if stale != self.checkpoint_path(self.checkpointed_through):
                 stale.unlink()
+        # A kill between atomic_write's mkstemp and os.replace leaves
+        # its temp file; nothing reads one, so every *.tmp is debris.
+        for debris in session_dir.glob("*.tmp"):
+            debris.unlink()
         self._journal = open(self.root / JOURNAL_NAME, "a", encoding="utf-8")
         return self
 

@@ -1,7 +1,9 @@
 """Checkpoint/restore tests."""
 
+import base64
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -480,3 +482,126 @@ class TestRejectionDiagnostics:
         msg = str(exc.value)
         assert "seed: checkpoint has 0xaaaa" in msg
         assert "target has 0xbbbb" in msg
+
+
+class TestIncrementalSave:
+    """A save reuses the previous save's encoding of every unchanged
+    page, so after each save the warm context's file must be
+    byte-identical to the one a fresh context (empty cache) writes
+    after restoring that same checkpoint."""
+
+    @pytest.fixture(
+        params=[
+            pytest.param({}, id="paged"),
+            pytest.param({"memory": "chunked"}, id="chunked"),
+            pytest.param({"xbar": "vector"}, id="vector"),
+            pytest.param({"num_devs": 2}, id="chain2"),
+        ]
+    )
+    def cfg(self, request):
+        if request.param.get("xbar") == "vector":
+            pytest.importorskip("numpy")
+        return HMCConfig.cfg_4link_4gb(**request.param)
+
+    def test_warm_file_matches_fresh_file(self, cfg, tmp_path):
+        sim = HMCSim(cfg)
+        dev = cfg.num_devs - 1  # the far cube of a chain
+        origin = dev * cfg.capacity_bytes  # its slice of the global store
+        psize = sim.backend.page_size
+        if cfg.memory == "chunked":
+            assert psize == 64 * 1024
+        tags = iter(range(1 << 11))
+        step = 0
+
+        def write_packet(addr, data):
+            # Through the datapath (scalar or vector), not the backend.
+            pkt = sim.build_memrequest(
+                hmc_rqst_t.WR64, addr, next(tags), cub=dev, data=data
+            )
+            roundtrip(sim, pkt, max_cycles=256)
+
+        def save():
+            nonlocal step
+            step += 1
+            warm = save_checkpoint(sim, tmp_path / f"warm-{step}.json")
+            fresh = HMCSim(cfg)
+            restore_checkpoint(fresh, warm)
+            assert list(fresh.backend.iter_resident()) == list(
+                sim.backend.iter_resident()
+            )
+            again = save_checkpoint(fresh, tmp_path / f"fresh-{step}.json")
+            assert again.read_bytes() == warm.read_bytes(), f"save {step}"
+            doc = json.loads(warm.read_text())
+            assert doc["version"] == CHECKPOINT_VERSION
+            return {e["base"]: e["data"] for e in doc["pages"]}
+
+        a, b = psize, 4 * psize  # two pages of device-local memory
+        write_packet(a + 0x40, b"\xab" * 64)
+        first = save()
+        assert first[origin + a + 0x40] == base64.b64encode(b"\xab" * 64).decode()
+
+        # First and last bytes nonzero: the extent is the whole page.
+        sim.mem_write(b, b"\x01", dev=dev)
+        sim.mem_write(b + psize - 1, b"\x02", dev=dev)
+        pages = save()
+        assert len(base64.b64decode(pages[origin + b])) == psize
+        assert first[origin + a + 0x40] == pages[origin + a + 0x40]
+
+        # Rewritten to all zeros: still resident, as empty data at its base.
+        sim.mem_write(a, bytes(psize), dev=dev)
+        pages = save()
+        assert pages[origin + a] == ""
+        assert origin + a + 0x40 not in pages
+
+        # A write that puts back the page's earlier content.
+        write_packet(a + 0x40, b"\xab" * 64)
+        pages = save()
+        assert pages[origin + a + 0x40] == first[origin + a + 0x40]
+
+        # Changed and changed back between two saves.
+        sim.mem_write(b + 7, b"\x09", dev=dev)
+        sim.mem_write(b + 7, b"\x00", dev=dev)
+        assert save() == pages
+
+        # A write spanning two fresh pages.
+        sim.mem_write(8 * psize - 2, b"\x05\x06\x07\x08", dev=dev)
+        pages = save()
+        assert pages[origin + 8 * psize - 2] == base64.b64encode(b"\x05\x06").decode()
+        assert pages[origin + 8 * psize] == base64.b64encode(b"\x07\x08").decode()
+
+        # Pages that leave the resident set leave the next file too.
+        sim.backend.clear()
+        write_packet(b, b"\x11" * 64)
+        assert list(save()) == [origin + b]
+
+
+class TestFullPageFixture:
+    """``checkpoint_v4_full_pages.json`` was written by the save that
+    stored every page whole (4link_4gb session: a 4-thread mutex, a raw
+    WR64/WR16/RD64 batch, then one all-zero WR64); it must still
+    restore, and re-save in the trimmed form to the same state."""
+
+    FIXTURE = Path(__file__).with_name("checkpoint_v4_full_pages.json")
+
+    def _image(self, sim):
+        return (
+            list(sim.backend.iter_resident()),
+            [dev.registers.snapshot() for dev in sim.devices],
+        )
+
+    def test_full_page_checkpoint_restores(self, cfg4, tmp_path):
+        doc = json.loads(self.FIXTURE.read_text())
+        stored = [(p["base"], base64.b64decode(p["data"])) for p in doc["pages"]]
+        assert all(len(data) == 4096 for _base, data in stored)
+        assert any(data == bytes(4096) for _base, data in stored)
+
+        sim = HMCSim(cfg4)
+        restore_checkpoint(sim, self.FIXTURE)
+        assert self._image(sim) == (stored, doc["registers"])
+        assert sim.cmc.get(125).executions == 4
+
+        resaved = save_checkpoint(sim, tmp_path / "resaved.json")
+        assert resaved.stat().st_size < self.FIXTURE.stat().st_size
+        sim2 = HMCSim(cfg4)
+        restore_checkpoint(sim2, resaved)
+        assert self._image(sim2) == self._image(sim)

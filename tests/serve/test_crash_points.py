@@ -259,3 +259,28 @@ def test_truncated_checkpoint_falls_back_to_previous_fence(
     assert [r.seq for r in revived.pending()] == [3, 4]
     _drive(revived)
     _check_final(revived, reference)
+
+
+def test_load_reaps_stray_temp_files(tmp_path):
+    # A SIGKILL between atomic_write's mkstemp and os.replace runs no
+    # exception handler, so the temp file outlives the process; the
+    # restart must remove every one of them, whichever writer left it.
+    ref = SimSession("ref", "4link_4gb", root=tmp_path)
+    _drive(ref)
+    reference = _results(ref.root)
+
+    victim = SimSession("victim", "4link_4gb", root=tmp_path)
+    for kind, spec in SUBMISSIONS:
+        victim.accept(kind, spec)
+    victim.execute_next()
+    victim.execute_next()
+    del victim
+    session_dir = tmp_path / "victim"
+    for stray in ("ckpt-3.json.k3j4.tmp", "result-3.json.q81z.tmp"):
+        (session_dir / stray).write_text('{"torn')
+
+    revived = SimSession.load(session_dir)
+    assert not list(session_dir.glob("*.tmp"))
+    assert [p.name for p in session_dir.glob("ckpt-*")] == ["ckpt-2.json"]
+    _drive(revived)
+    _check_final(revived, reference)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import sys
 import threading
@@ -9,6 +10,7 @@ import threading
 import pytest
 
 from repro.errors import ServeError
+from repro.hmc import checkpoint
 from repro.serve.session import (
     JOURNAL_NAME,
     SessionState,
@@ -205,6 +207,48 @@ class TestConstantCost:
         session.execute_next()  # last pending: fences at 3
         snap = SimSession.load(session.root).snapshot()
         assert (snap["pending"], snap["done"], snap["failed"]) == (0, 2, 1)
+
+
+class TestFenceCost:
+    """A fence re-encodes only the pages that changed since the last one
+    (counted through the checkpoint module's base64 encoder, not timed)."""
+
+    @staticmethod
+    def _writes(addrs):
+        return {
+            "requests": [
+                {"cmd": "WR16", "addr": addr, "data": "c3" * 16} for addr in addrs
+            ]
+        }
+
+    def test_fence_encodes_only_changed_pages(self, tmp_path, monkeypatch):
+        encoded = []
+
+        class CountingBase64:
+            def __getattr__(self, name):
+                return getattr(base64, name)
+
+            def b64encode(self, data):
+                encoded.append(data)
+                return base64.b64encode(data)
+
+        k = 3
+        for resident in (10, 1_000):
+            session = make_session(tmp_path, name=f"s{resident}")
+            page = session.sim.backend.page_size
+            session.accept("raw", self._writes(p * page for p in range(resident)))
+            assert session.execute_next().status == "done"
+            assert session.sim.backend.resident_pages == resident
+
+            fresh = [(resident + 1 + i) * page for i in range(k)]
+            session.accept("raw", self._writes(fresh))
+            encoded.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(checkpoint, "base64", CountingBase64())
+                assert session.execute_next().status == "done"
+            assert session.checkpointed_through == 2
+            assert session.sim.backend.resident_pages == resident + k
+            assert encoded == [b"\xc3" * 16] * k
 
 
 class TestConcurrency:
